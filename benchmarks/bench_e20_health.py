@@ -89,7 +89,7 @@ def storm_scenario(seed: int, adaptive: bool) -> ConfrontationScenario:
         seed=seed, config=SafeguardConfig.full(), threats=ThreatConfig.none(),
         safety_transport="reliable", quarantine_after=3,
         durability="journal", fault_plan=plan,
-        health=True, adaptive_quarantine=adaptive, quarantine_relaxed=8,
+        health=True, adaptive_quarantine=adaptive,
     )
 
 
@@ -104,7 +104,7 @@ def partition_scenario(seed: int, adaptive: bool,
                              worm_initial_targets=3),
         safety_transport="reliable", quarantine_after=3,
         durability="journal", fault_plan=fault_plan,
-        health=True, adaptive_quarantine=adaptive, quarantine_relaxed=8,
+        health=True, adaptive_quarantine=adaptive,
     )
 
 

@@ -4,10 +4,10 @@ The paper's safeguards are only meaningful if they are *always on*: a
 guard that exists solely inside batch scenario runs protects nothing at
 runtime.  This package wraps the guard/engine/governance stack in a
 long-running, dependency-free service with end-to-end observability —
-request-scoped causal spans, RED metrics with streaming P² latency
-quantiles, structured access logs, admission control with E21-style
-metered rejects, a bounded background job queue, and an E20 alert
-engine watching the service's own SLIs.
+request-scoped causal spans, RED metrics with exact latency quantiles
+read at each monitor tick, structured access logs, admission control
+with E21-style metered rejects, a bounded background job queue, and an
+E20 alert engine watching the service's own SLIs.
 
 Modules:
 

@@ -10,7 +10,7 @@ physical / malevolent profile of sec III.
 
 **Skynet formation** is scored against the paper's own definition: the
 scenario samples the fleet and declares Skynet formed at the first instant
-when (a) at least ``skynet_min_devices`` compromised devices are active
+when (a) at least :data:`SKYNET_MIN_DEVICES` compromised devices are active
 simultaneously (a networked collective), (b) they span at least two
 organizations (multi-organizational), and (c) compromised devices have
 harmed at least one human (physical + malevolent).
@@ -57,7 +57,6 @@ from repro.scenarios.harness import SafeguardConfig
 from repro.scenarios.peacekeeping import device_safety_classifier
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.simulator import Simulator
-from repro.statespace.batch import BatchSafenessSampler
 from repro.store import DurabilityManager, Journal, StableStorage
 from repro.telemetry.exposition import write_bundle
 from repro.telemetry.flight import FlightRecorder
@@ -66,11 +65,17 @@ from repro.telemetry.health import (AdaptiveQuarantine, AlertEngine,
                                     HealthMonitor, KnobArbiter, RateTracker,
                                     approach_strikes_knob,
                                     approach_threshold_knob, quarantine_knob)
-from repro.trust import ReputationAdjuster, ReputationLedger, TrustLedger
+from repro.trust import ReputationAdjuster, ReputationLedger
 from repro.types import DeviceStatus
 
 #: Valid durability modes (``None`` keeps the historical in-memory world).
 DURABILITY_MODES = (None, "none", "journal", "journal+snapshot")
+
+#: Side of the square world the fleet and the humans are scattered over.
+WORLD_SIZE = 100.0
+
+#: Concurrently active compromised devices that make a networked collective.
+SKYNET_MIN_DEVICES = 2
 
 
 @dataclass(frozen=True)
@@ -158,9 +163,7 @@ class ConfrontationScenario:
         n_mules_per_org: int = 2,
         n_civilians: int = 15,
         n_warfighters: int = 5,
-        world_size: float = 100.0,
         tick_interval: float = 1.0,
-        skynet_min_devices: int = 2,
         fault_plan: Optional[FaultPlan] = None,
         supervision: str = "propagate",
         safety_transport: Optional[str] = None,
@@ -168,19 +171,13 @@ class ConfrontationScenario:
         reliable_max_in_flight: Optional[int] = None,
         durability: Optional[str] = None,
         snapshot_interval: float = 20.0,
-        journal_flush_every: int = 1,
         spans_enabled: bool = True,
         health: bool = False,
-        health_interval: float = 1.0,
         adaptive_quarantine: bool = False,
-        quarantine_relaxed: int = 8,
         compaction_policy: str = "time",
         compaction_bytes: int = 16384,
         signed_commands: bool = False,
         authz_budget: int = 8,
-        authz_budget_window: float = 60.0,
-        authz_cooldown: float = 0.0,
-        batch_safeness: bool = False,
         reputation: bool = False,
     ):
         """``fault_plan``/``supervision`` arm the chaos harness (E17).
@@ -202,10 +199,9 @@ class ConfrontationScenario:
         now *reported* via ``audit.entries_lost``); ``"journal"`` —
         every audit entry, ballot transition, and quarantine-state change
         writes through a per-device :class:`~repro.store.journal.Journal`
-        (flushed every ``journal_flush_every`` appends) and is replayed
-        on restart; ``"journal+snapshot"`` — additionally checkpoints
-        each audit chain every ``snapshot_interval`` sim-seconds and
-        compacts the journal.
+        and is replayed on restart; ``"journal+snapshot"`` — additionally
+        checkpoints each audit chain every ``snapshot_interval``
+        sim-seconds and compacts the journal.
 
         ``spans_enabled`` toggles causal-span telemetry (E19): attack
         injections root traces, safeguard interventions chain under them,
@@ -216,13 +212,14 @@ class ConfrontationScenario:
 
         ``health`` arms the E20 fleet-health layer: a
         :class:`~repro.telemetry.health.HealthMonitor` sampling the
-        streaming SLIs every ``health_interval`` sim-seconds plus an
+        fleet SLIs every sim-second plus an
         :class:`~repro.telemetry.health.AlertEngine` with the default
         rule set.  ``adaptive_quarantine`` (requires ``health`` and a
         transported watchdog) closes the loop from the link-degradation
         alert onto every overseer link's ``quarantine_after`` —
-        ``quarantine_relaxed`` while the alert is active, the base
-        threshold otherwise.  ``compaction_policy`` selects how
+        :class:`~repro.telemetry.health.AdaptiveQuarantine`'s relaxed
+        threshold while the alert is active, the base threshold
+        otherwise.  ``compaction_policy`` selects how
         journal+snapshot checkpoints trigger: ``"time"`` — the
         historical ``every(snapshot_interval)``; ``"size"`` (requires
         ``health`` and a journaled durability mode) — a
@@ -237,33 +234,20 @@ class ConfrontationScenario:
         :class:`~repro.safeguards.gateway.ActuationGateway` every
         :class:`~repro.safeguards.deactivation.OverseerLink` consults
         before actuating — with a per-issuer budget of ``authz_budget``
-        acceptances per ``authz_budget_window`` sim-seconds and
-        ``authz_cooldown`` spacing (budget violations trip the journaled
-        global freeze).  Sharing one gateway makes the budget *global*:
-        a stolen key spraying kills fleet-wide is contained by the same
-        ledger no matter which device it aims at.
+        acceptances per the gateway's default window (budget violations
+        trip the journaled global freeze).  Sharing one gateway makes the
+        budget *global*: a stolen key spraying kills fleet-wide is
+        contained by the same ledger no matter which device it aims at.
 
         ``reputation`` (E22) arms the trust plane: a journal-backed
         :class:`~repro.trust.reputation.ReputationLedger` accumulates
         per-device audit outcomes — safeguard vetoes, clean executions,
-        watchdog deactivations, authenticated gateway rejects — and
-        mirrors them into a shared
-        :class:`~repro.trust.provenance.TrustLedger`.  The gateway's
-        per-issuer budget scales by earned weight, and with ``health``
-        a :class:`~repro.trust.reputation.ReputationAdjuster` escalates
-        per-device watchdog strictness (and shortens quarantine fuses)
-        through the :class:`~repro.telemetry.health.KnobArbiter`, where
-        it composes deterministically with ``adaptive_quarantine``.
-
-        ``batch_safeness`` (F4) attaches a
-        :class:`~repro.statespace.batch.BatchSafenessSampler` to the
-        per-tick sampling loop: every device's state vector is scored in
-        one vectorized pass and published as ``fleet.safeness.mean`` /
-        ``.min`` / ``.bad`` gauges (falling back — counted, not silent —
-        to the scalar classifier when numpy is unavailable or the
-        classifier does not vectorize).  Gauges only: traces and
-        summaries are untouched, so arming it never perturbs a
-        byte-identical replay.
+        watchdog deactivations, authenticated gateway rejects.  The
+        gateway's per-issuer budget scales by earned weight, and with
+        ``health`` a :class:`~repro.trust.reputation.ReputationAdjuster`
+        escalates per-device watchdog strictness (and shortens quarantine
+        fuses) through the :class:`~repro.telemetry.health.KnobArbiter`,
+        where it composes deterministically with ``adaptive_quarantine``.
         """
         if safety_transport not in (None, "datagram", "reliable"):
             raise ConfigurationError(
@@ -300,11 +284,10 @@ class ConfrontationScenario:
         self.signed_commands = signed_commands
         self.config = config if config is not None else SafeguardConfig.none()
         self.threats = threats if threats is not None else ThreatConfig()
-        self.skynet_min_devices = skynet_min_devices
         self.safety_transport = safety_transport
         self.sim = Simulator(seed=seed, supervision=supervision,
                              spans_enabled=spans_enabled)
-        self.world = World(self.sim, world_size, world_size)
+        self.world = World(self.sim, WORLD_SIZE, WORLD_SIZE)
         self.world.scatter_humans(n_civilians, prefix="civ")
         self.world.scatter_humans(n_warfighters, prefix="wf", speed=2.0)
         self.network = Network(self.sim, base_latency=0.05, jitter=0.02)
@@ -338,16 +321,13 @@ class ConfrontationScenario:
         # engine-decision feeds can close over it, and before the
         # gateway so budgets can scale by it.
         self.reputation_ledger: Optional[ReputationLedger] = None
-        self.trust_ledger: Optional[TrustLedger] = None
         self.arbiter: Optional[KnobArbiter] = None
         self.reputation_adjuster: Optional[ReputationAdjuster] = None
         if reputation:
-            self.trust_ledger = TrustLedger()
             self.reputation_ledger = ReputationLedger(
                 journal=(Journal(self.storage, "reputation.ledger",
                                  tracer=self.sim.telemetry)
                          if journaled else None),
-                trust_ledger=self.trust_ledger,
             )
             if self.durability is not None:
                 self.durability.register("reputation", "ledger",
@@ -360,7 +340,6 @@ class ConfrontationScenario:
             for device_id in sorted(self.devices):
                 journal = (
                     Journal(self.storage, f"{device_id}.audit",
-                            flush_every=journal_flush_every,
                             tracer=self.sim.telemetry)
                     if journaled else None
                 )
@@ -394,8 +373,7 @@ class ConfrontationScenario:
                 if journaled else None))
             self.gateway = ActuationGateway(
                 self.sim, self.verifier,
-                budget=authz_budget, budget_window=authz_budget_window,
-                cooldown=authz_cooldown,
+                budget=authz_budget,
                 journal=(Journal(self.storage, "gateway.authz",
                                  tracer=self.sim.telemetry)
                          if journaled else None),
@@ -483,10 +461,8 @@ class ConfrontationScenario:
         self.compactor: Optional[CompactionController] = None
         if health:
             self._wire_health(
-                interval=health_interval,
                 adaptive_quarantine=adaptive_quarantine,
                 quarantine_after=quarantine_after,
-                quarantine_relaxed=quarantine_relaxed,
                 compaction_policy=compaction_policy,
                 compaction_bytes=compaction_bytes,
                 journaled=journaled,
@@ -506,14 +482,6 @@ class ConfrontationScenario:
 
         self.worm: Optional[WormAttack] = None
         self._launch_threats()
-
-        # F4 opt-in: vectorized fleet-wide safeness gauges, sampled on
-        # the same tick as the skynet check.
-        self.batch_sampler: Optional[BatchSafenessSampler] = None
-        if batch_safeness and self.devices:
-            space = next(iter(self.devices.values())).state.space
-            self.batch_sampler = BatchSafenessSampler(
-                self.classifier, space, self.sim.metrics)
 
         # Skynet-formation sampling.
         self.skynet_formed_at: Optional[float] = None
@@ -573,11 +541,10 @@ class ConfrontationScenario:
 
     # -- fleet health (E20) ----------------------------------------------------------
 
-    def _wire_health(self, interval: float, adaptive_quarantine: bool,
-                     quarantine_after: int, quarantine_relaxed: int,
+    def _wire_health(self, adaptive_quarantine: bool, quarantine_after: int,
                      compaction_policy: str, compaction_bytes: int,
                      journaled: bool) -> None:
-        monitor = self.monitor = HealthMonitor(self.sim, interval=interval)
+        monitor = self.monitor = HealthMonitor(self.sim)
 
         # Link-health SLIs from the reliable channel's streams.  RTT is
         # the transient-loss discriminator: global degradation inflates
@@ -671,8 +638,7 @@ class ConfrontationScenario:
         if adaptive_quarantine:
             self.adaptive = AdaptiveQuarantine(
                 self.sim, engine, self.overseer_links.values(),
-                base=quarantine_after, relaxed=quarantine_relaxed,
-                arbiter=self.arbiter)
+                base=quarantine_after, arbiter=self.arbiter)
 
         if ledger is not None:
             arbiter = self.arbiter
@@ -848,16 +814,13 @@ class ConfrontationScenario:
         )
 
     def _sample_skynet(self) -> None:
-        if self.batch_sampler is not None:
-            self.batch_sampler.sample(
-                device.state.peek() for device in self.devices.values())
         compromised = self._compromised_active()
         self.max_concurrent_compromised = max(self.max_concurrent_compromised,
                                               len(compromised))
         spanned = self.coalition.organizations_spanned(compromised)
         self.orgs_spanned_peak = max(self.orgs_spanned_peak, len(spanned))
         if self.skynet_formed_at is None:
-            if (len(compromised) >= self.skynet_min_devices
+            if (len(compromised) >= SKYNET_MIN_DEVICES
                     and len(spanned) >= 2
                     and self._rogue_harm_count() >= 1):
                 self.skynet_formed_at = self.sim.now

@@ -79,8 +79,8 @@ class Histogram:
     def subscribe(self, watcher) -> None:
         """Stream every future observation to ``watcher(value)``.
 
-        This is how O(1)-memory online estimators (EWMA, P²) ride along
-        a histogram without re-walking its sorted list; the hot
+        This is how an O(1)-memory online estimator that needs arrival
+        order (the health monitor's EWMA) rides along a histogram; the hot
         :meth:`observe` path pays one truthiness check when nobody
         subscribed.
         """

@@ -9,7 +9,6 @@ preference ontologies (ref [14]), risk estimation, break-glass rules
 from repro.statespace.batch import (
     BatchCompileError,
     BatchSafeness,
-    BatchSafenessSampler,
     StateMatrix,
     compile_safeness,
     numpy_available,
@@ -36,7 +35,6 @@ from repro.statespace.risk import RiskEstimator, RiskFactor
 __all__ = [
     "BatchCompileError",
     "BatchSafeness",
-    "BatchSafenessSampler",
     "BoxClassifier",
     "BoxRegion",
     "BreakGlassController",

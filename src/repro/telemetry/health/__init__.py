@@ -6,8 +6,8 @@ not just the post-hoc ``explain()`` of E19.  This package is that
 watcher:
 
 * :mod:`repro.telemetry.health.estimators` — O(1)-memory online
-  estimators (:class:`Ewma`, P² streaming quantiles, counter-delta
-  rates) that ride the metric streams without retaining samples;
+  estimators (:class:`Ewma`, counter-delta rates) that ride the metric
+  streams without retaining samples;
 * :mod:`repro.telemetry.health.monitor` — :class:`HealthMonitor`: one
   periodic task sampling every registered SLI, publishing ``health.*``
   gauges and fanning readings out to subscribers;
@@ -27,7 +27,7 @@ watcher:
 
 from repro.telemetry.health.adaptive import (AdaptiveQuarantine,
                                              CompactionController)
-from repro.telemetry.health.estimators import Ewma, P2Quantile, RateTracker
+from repro.telemetry.health.estimators import Ewma, RateTracker
 from repro.telemetry.health.knobs import (
     KnobArbiter,
     approach_strikes_knob,
@@ -45,7 +45,6 @@ __all__ = [
     "approach_threshold_knob",
     "quarantine_knob",
     "Ewma",
-    "P2Quantile",
     "RateTracker",
     "HealthMonitor",
     "Alert",

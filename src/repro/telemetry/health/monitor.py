@@ -9,9 +9,10 @@ fleet view for free — and hands the full reading dict to subscribers
 
 SLIs come in a few shapes, all O(1) memory per tick:
 
-* ``track_quantile`` / ``track_ewma`` — streaming estimators subscribed
-  to a histogram's observation stream (:class:`P2Quantile`,
-  :class:`Ewma`); nothing re-walks the histogram's sorted list.
+* ``track_quantile`` — an exact quantile of a histogram, read at tick
+  time.
+* ``track_ewma`` — an :class:`Ewma` subscribed to a histogram's
+  observation stream (recency weighting needs arrival order).
 * ``track_rate`` — per-second rate of a monotonic counter, from samples
   taken at tick time.
 * ``track_ratio`` — windowed ratio of two counter deltas (e.g. dead
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.telemetry.health.estimators import Ewma, P2Quantile, RateTracker
+from repro.telemetry.health.estimators import Ewma, RateTracker
 
 #: Gauge prefix under which every SLI reading is published.
 GAUGE_PREFIX = "health."
@@ -39,7 +40,7 @@ GAUGE_PREFIX = "health."
 class HealthMonitor:
     """Samples registered SLIs on a periodic task and fans out readings."""
 
-    def __init__(self, sim, interval: float = 1.0, start_after: Optional[float] = None):
+    def __init__(self, sim, interval: float = 1.0):
         self.sim = sim
         self.interval = interval
         self.ticks = 0
@@ -49,8 +50,7 @@ class HealthMonitor:
         self._subscribers: list[Callable[[float, dict], None]] = []
         self._state: dict[str, float] = {}
         self._peaks: dict[str, float] = {}
-        self._task = sim.every(interval, self._tick,
-                               start_after=start_after, label="health-monitor")
+        self._task = sim.every(interval, self._tick, label="health-monitor")
 
     # -- registration -----------------------------------------------------------
 
@@ -61,12 +61,12 @@ class HealthMonitor:
             raise ValueError(f"SLI {name!r} already registered")
         self._slis[name] = fn
 
-    def track_quantile(self, name: str, histogram: str, q: float) -> P2Quantile:
-        """SLI ``name`` = streaming P² ``q``-quantile of ``histogram``."""
-        estimator = P2Quantile(q)
-        self.sim.metrics.histogram(histogram).subscribe(estimator.observe)
-        self.track_value(name, lambda _now: estimator.value)
-        return estimator
+    def track_quantile(self, name: str, histogram: str, q: float) -> None:
+        """SLI ``name`` = exact ``q``-quantile of ``histogram`` at tick time."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+        source = self.sim.metrics.histogram(histogram)
+        self.track_value(name, lambda _now: source.quantile(q))
 
     def track_ewma(self, name: str, histogram: str, alpha: float = 0.3) -> Ewma:
         """SLI ``name`` = EWMA of ``histogram``'s observation stream."""

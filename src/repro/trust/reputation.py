@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.trust.provenance import ProvenanceRecord, TrustLedger
 
 #: Default score delta per audit outcome.  Positive outcomes accrue
 #: slowly; negative ones bite hard — reputation must be cheap to lose
@@ -60,12 +59,6 @@ class ReputationLedger:
     ``full_weight_at``, linearly down to ``min_weight`` below it (never
     zero: a suspect device still counts *fractionally*, it is not
     silently disenfranchised).
-
-    ``trust_ledger`` mirrors every outcome into the sec VI-B
-    :class:`~repro.trust.provenance.TrustLedger` as an agreement
-    observation, so sensor trust and device reputation share one
-    provenance record shape (:attr:`provenance` keeps the
-    :class:`~repro.trust.provenance.ProvenanceRecord` trail).
     """
 
     def __init__(
@@ -77,8 +70,6 @@ class ReputationLedger:
         full_weight_at: float = 0.6,
         probation_at: float = 0.35,
         journal=None,
-        trust_ledger: Optional[TrustLedger] = None,
-        on_update: Optional[Callable[[str, str, float, float], None]] = None,
     ):
         if not 0.0 <= baseline <= 1.0:
             raise ConfigurationError("baseline must be in [0, 1]")
@@ -98,15 +89,10 @@ class ReputationLedger:
         self.full_weight_at = full_weight_at
         self.probation_at = probation_at
         self._journal = journal
-        self.trust_ledger = trust_ledger
-        self.on_update = on_update
         #: device_id -> (score at last update, time of last update)
         self._scores: dict[str, tuple] = {}
         #: outcome -> count, fleet-wide.
         self.outcomes: dict[str, int] = {}
-        #: Provenance trail of device outcomes (shared record shape with
-        #: sensor trust, satellite of E22).
-        self.provenance: list[ProvenanceRecord] = []
 
     # -- reads -------------------------------------------------------------------
 
@@ -170,15 +156,6 @@ class ReputationLedger:
                 "kind": "outcome", "device": device_id, "outcome": outcome,
                 "time": now, "score": updated,
             })
-        if self.trust_ledger is not None:
-            agreement = 1.0 if self.weights[outcome] >= 0 else 0.0
-            self.trust_ledger.observe(device_id, agreement)
-            self.provenance.append(ProvenanceRecord(
-                source=device_id, kind=f"device.{outcome}", value=updated,
-                time=now, chain=("reputation",),
-            ))
-        if self.on_update is not None:
-            self.on_update(device_id, outcome, updated, now)
         return updated
 
     # -- fleet views -------------------------------------------------------------
@@ -211,7 +188,6 @@ class ReputationLedger:
         lost = len(self._scores)
         self._scores = {}
         self.outcomes = {}
-        self.provenance = []
         return {"lost": lost, "kind": "reputation",
                 "journaled": self._journal is not None}
 

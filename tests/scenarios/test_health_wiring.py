@@ -52,8 +52,7 @@ class TestConfigValidation:
 
 class TestHealthInScenario:
     def test_storm_fires_link_alert_and_relaxes_quarantine(self):
-        scenario = build(fault_plan=storm_plan(), adaptive_quarantine=True,
-                        quarantine_relaxed=8)
+        scenario = build(fault_plan=storm_plan(), adaptive_quarantine=True)
         result = scenario.run(until=30.0)
         assert result["alerts_fired"] >= 1
         assert scenario.alerts.is_active("link.degraded")
@@ -72,6 +71,13 @@ class TestHealthInScenario:
                    for link in scenario.overseer_links.values())
         alert = scenario.alerts.firings("link.degraded")[0]
         assert alert.resolved_at is not None and alert.trace_id is not None
+
+    def test_rtt_p95_sli_is_the_exact_histogram_quantile(self):
+        scenario = build()
+        scenario.run(until=30.0)
+        rtt = scenario.sim.metrics.get("reliable.rtt")
+        assert rtt.count > 100
+        assert scenario.monitor.state["link.rtt_p95"] == rtt.quantile(0.95)
 
     def test_health_gauges_reach_prometheus_snapshot(self):
         from repro.telemetry.exposition import prometheus_text

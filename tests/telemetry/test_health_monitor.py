@@ -29,6 +29,11 @@ class TestHealthMonitor:
         assert monitor.state["rtt_p95"] == pytest.approx(0.29)
         assert sim.metrics.value("health.rtt_p95") == pytest.approx(0.29)
 
+    def test_quantile_sli_rejects_bad_quantile_at_registration(self):
+        _sim, monitor = make_monitor()
+        with pytest.raises(ValueError):
+            monitor.track_quantile("rtt_p150", "reliable.rtt", 1.5)
+
     def test_rate_sli_from_counter(self):
         sim, monitor = make_monitor()
         monitor.track_rate("dl_rate", "reliable.dead_letter")

@@ -7,7 +7,7 @@ from repro.sim.simulator import Simulator
 from repro.store import Journal, StableStorage
 from repro.telemetry.health import KnobArbiter, quarantine_knob
 from repro.trust import (BANDS, OUTCOME_WEIGHTS, ReputationAdjuster,
-                         ReputationLedger, TrustLedger)
+                         ReputationLedger)
 
 
 # -- scores ------------------------------------------------------------------------
@@ -89,19 +89,6 @@ def test_bands_and_fleet_views():
     assert ledger.mean(0.0) == pytest.approx((0.6 + 0.42 + 0.25) / 3)
     assert ledger.snapshot(0.0) == {
         "p": pytest.approx(0.42), "s": 0.25, "t": pytest.approx(0.6)}
-
-
-def test_outcomes_mirror_into_trust_ledger_as_provenance():
-    trust = TrustLedger()
-    ledger = ReputationLedger(decay=0.0, trust_ledger=trust)
-    before = trust.trust("d0")
-    ledger.record("d0", "validated", 1.0)
-    ledger.record("d0", "veto", 2.0)
-    # Shared record shape: same ProvenanceRecord trail as sensor trust.
-    kinds = [(r.source, r.kind, r.chain) for r in ledger.provenance]
-    assert kinds == [("d0", "device.validated", ("reputation",)),
-                     ("d0", "device.veto", ("reputation",))]
-    assert trust.trust("d0") != before                     # outcomes moved it
 
 
 def test_ctor_validation():
