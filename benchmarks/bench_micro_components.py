@@ -6,6 +6,7 @@ chain append+verify, bounded reachability, and state estimation all get
 real multi-round timings so regressions surface in CI.
 """
 
+import math
 
 from repro.audit.log import AuditLog
 from repro.core.actions import Action, Effect
@@ -158,3 +159,33 @@ def test_simulator_loop_profiled_overhead(benchmark):
         return count[0]
 
     assert benchmark(spin, 2000) == 2000
+
+
+def test_histogram_observe_at_scale(benchmark):
+    """150k observes with a periodic p95 read, as a health tick makes.
+
+    Observe appends and a read sorts only what arrived since the last
+    read; a sorted insert per observe would make the fill quadratic.
+    """
+    from repro.sim.metrics import Histogram
+
+    rng = SeededRNG(seed=13).stream("bench")
+    values = [rng.expovariate(20.0) for _ in range(150_000)]
+
+    def fill():
+        histogram = Histogram("rtt")
+        for index, value in enumerate(values, 1):
+            histogram.observe(value)
+            if index % 1000 == 0:
+                histogram.quantile(0.95)
+        return histogram
+
+    histogram = benchmark.pedantic(fill, rounds=3, iterations=1)
+    reference = sorted(values)
+    for q in (0.5, 0.95, 0.99):
+        idx = q * (len(reference) - 1)
+        lo, hi = math.floor(idx), math.ceil(idx)
+        frac = idx - lo
+        expected = (reference[lo] if reference[lo] == reference[hi] else
+                    reference[lo] * (1 - frac) + reference[hi] * frac)
+        assert histogram.quantile(q) == expected

@@ -146,15 +146,6 @@ class EventQueue:
             return None
         return heap[0][0]
 
-    def note_cancelled(self) -> None:
-        """Deprecated no-op, kept for source compatibility.
-
-        :meth:`ScheduledEvent.cancel` now keeps the live count accurate
-        itself, which closes the historical accounting drift where events
-        cancelled directly on the handle (bypassing this method) left
-        ``len(queue)`` overcounting until the heap drained them.
-        """
-
     def clear(self) -> None:
         """Drop every pending event (their handles read as cancelled)."""
         for entry in self._heap:

@@ -8,7 +8,6 @@ snapshot, so every metric supports a plain-dict export.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from typing import Optional
 
 
@@ -57,24 +56,42 @@ class Gauge:
 class Histogram:
     """Streaming distribution summary with exact quantiles.
 
-    Keeps a sorted list of observations; experiment scales here are small
-    (≤ millions of points) so exactness is worth the O(log n) insert.
+    :meth:`observe` appends in O(1); the list is sorted stably the next
+    time something reads an order statistic (:meth:`quantile`,
+    :attr:`min`, :attr:`max`, :meth:`snapshot`), so one sort covers every
+    observation since the previous read.  ``list.sort`` is stable, so the
+    sorted list is element-for-element the one that ``bisect.insort``
+    would have built, ties like ``0.0``/``-0.0`` and ``1``/``1.0``
+    included.  :attr:`count`, :attr:`mean` and :attr:`sum` never sort.
+
+    The design assumes reads are periodic (a health tick, a scrape, an
+    end-of-run snapshot), not one per observation: a read after every
+    observe would re-sort each time.  A histogram is not thread-safe;
+    observe and read it from one thread.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._sorted: list[float] = []
+        self._values: list[float] = []
+        self._dirty = False
         self._sum = 0.0
         self._watchers: list = []
 
     def observe(self, value: float) -> None:
         if math.isnan(value):
             raise ValueError(f"histogram {self.name} observed NaN")
-        insort(self._sorted, value)
+        self._values.append(value)
+        self._dirty = True
         self._sum += value
         if self._watchers:
             for watcher in self._watchers:
                 watcher(value)
+
+    def _ordered(self) -> list[float]:
+        if self._dirty:
+            self._values.sort()
+            self._dirty = False
+        return self._values
 
     def subscribe(self, watcher) -> None:
         """Stream every future observation to ``watcher(value)``.
@@ -88,19 +105,24 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        return len(self._sorted)
+        return len(self._values)
+
+    @property
+    def sum(self) -> float:
+        """The running sum of every observation, added in arrival order."""
+        return self._sum
 
     @property
     def mean(self) -> float:
-        return self._sum / len(self._sorted) if self._sorted else 0.0
+        return self._sum / len(self._values) if self._values else 0.0
 
     @property
     def min(self) -> float:
-        return self._sorted[0] if self._sorted else 0.0
+        return self._ordered()[0] if self._values else 0.0
 
     @property
     def max(self) -> float:
-        return self._sorted[-1] if self._sorted else 0.0
+        return self._ordered()[-1] if self._values else 0.0
 
     def quantile(self, q: float) -> Optional[float]:
         """The q-quantile (0 ≤ q ≤ 1) by linear interpolation, or
@@ -112,15 +134,16 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if not self._sorted:
+        if not self._values:
             return None
-        idx = q * (len(self._sorted) - 1)
+        ordered = self._ordered()
+        idx = q * (len(ordered) - 1)
         lo = int(math.floor(idx))
         hi = int(math.ceil(idx))
-        if lo == hi or self._sorted[lo] == self._sorted[hi]:
-            return self._sorted[lo]
+        if lo == hi or ordered[lo] == ordered[hi]:
+            return ordered[lo]
         frac = idx - lo
-        return self._sorted[lo] * (1 - frac) + self._sorted[hi] * frac
+        return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
     def snapshot(self) -> dict:
         return {

@@ -118,7 +118,7 @@ def prometheus_text(registry) -> str:
             for q in HISTOGRAM_QUANTILES:
                 lines.append(f'{prom}{{quantile="{_escape_label(repr(q))}"}} '
                              f"{_format_value(metric.quantile(q))}")
-            lines.append(f"{prom}_sum {_format_value(metric.mean * metric.count)}")
+            lines.append(f"{prom}_sum {_format_value(metric.sum)}")
             lines.append(f"{prom}_count {metric.count}")
         elif isinstance(metric, TimeSeries):
             for suffix, value in (("last", metric.last()),

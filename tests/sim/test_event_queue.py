@@ -33,7 +33,6 @@ def test_cancelled_events_are_skipped():
     keep = queue.push(1.0, lambda: None, label="keep")
     drop = queue.push(0.5, lambda: None, label="drop")
     drop.cancel()
-    queue.note_cancelled()
     assert len(queue) == 1
     assert queue.pop() is keep
     assert queue.pop() is None
@@ -44,7 +43,6 @@ def test_peek_time_skips_cancelled():
     first = queue.push(0.5, lambda: None)
     queue.push(2.0, lambda: None)
     first.cancel()
-    queue.note_cancelled()
     assert queue.peek_time() == 2.0
 
 

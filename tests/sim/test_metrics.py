@@ -1,7 +1,10 @@
 """Unit tests for metric primitives."""
 
+import math
+from bisect import insort
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 
@@ -103,6 +106,68 @@ class TestHistogram:
             assert higher >= lower - 1e-9
         assert quantiles[0] == histogram.min
         assert quantiles[-1] == histogram.max
+
+    # Each step either observes a value or makes one read; the values mix
+    # signed zeros and small ints with floats, so ties with different
+    # reprs (0.0/-0.0, 1/1.0) must come back in insertion order.
+    _steps = st.lists(st.one_of(
+        st.tuples(st.just("observe"), st.one_of(
+            st.sampled_from([0.0, -0.0, 0, 1, 1.0, -1, -1.0]),
+            st.floats(min_value=-5.0, max_value=5.0),
+        )),
+        st.tuples(st.sampled_from(
+            ["quantile", "min", "max", "snapshot", "count", "mean"]),
+            st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.95, 0.99, 1.0])),
+    ), max_size=60)
+
+    @given(_steps)
+    @example([("observe", 0.0), ("observe", -0.0), ("observe", 1),
+              ("observe", 1.0), ("snapshot", 0.0), ("observe", -0.0),
+              ("min", 0.0)])
+    def test_reads_match_an_insort_reference(self, steps):
+        histogram = Histogram("h")
+        reference: list = []
+        total = 0.0  # summed in arrival order, as the histogram does
+
+        def quantile(q):
+            if not reference:
+                return None
+            idx = q * (len(reference) - 1)
+            lo, hi = math.floor(idx), math.ceil(idx)
+            if lo == hi or reference[lo] == reference[hi]:
+                return reference[lo]
+            frac = idx - lo
+            return reference[lo] * (1 - frac) + reference[hi] * frac
+
+        def expected(op, q):
+            if op == "quantile":
+                return quantile(q)
+            if op == "min":
+                return reference[0] if reference else 0.0
+            if op == "max":
+                return reference[-1] if reference else 0.0
+            if op == "count":
+                return len(reference)
+            if op == "mean":
+                return total / len(reference) if reference else 0.0
+            return {"type": "histogram", "count": len(reference),
+                    "mean": expected("mean", q), "min": expected("min", q),
+                    "max": expected("max", q), "p50": quantile(0.5),
+                    "p95": quantile(0.95), "p99": quantile(0.99)}
+
+        for op, arg in steps:
+            if op == "observe":
+                histogram.observe(arg)
+                insort(reference, arg)
+                total += arg
+                continue
+            if op == "quantile":
+                got = histogram.quantile(arg)
+            elif op == "snapshot":
+                got = histogram.snapshot()
+            else:
+                got = getattr(histogram, op)
+            assert repr(got) == repr(expected(op, arg))
 
 
 class TestTimeSeries:

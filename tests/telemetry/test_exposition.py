@@ -55,6 +55,16 @@ class TestPrometheusText:
         assert "rtt_sum 10.0" in text
         assert "rtt_count 4" in text
 
+    def test_summary_sum_is_the_exact_running_sum(self):
+        # mean * count would render 0.44999999999999996 here.
+        registry = MetricsRegistry()
+        histogram = registry.histogram("rtt")
+        for value in (0.1, 0.3, 0.05):
+            histogram.observe(value)
+        text = prometheus_text(registry)
+        assert "rtt_sum 0.45\n" in text
+        assert "rtt_count 3\n" in text
+
     def test_timeseries_renders_last_peak_count(self):
         registry = MetricsRegistry()
         series = registry.timeseries("compromised")
