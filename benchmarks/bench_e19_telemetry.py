@@ -23,7 +23,7 @@ Results export to ``benchmarks/results/BENCH_E19.json``.
 Quick mode (``E19_QUICK=1``, used by CI): fewer timing repetitions.
 """
 
-import json
+import functools
 import os
 import time
 
@@ -31,6 +31,8 @@ from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig
 from repro.sim.faults import FaultPlan, NetworkPartition
 from repro.telemetry import explain
+
+from conftest import best_of_interleaved, export_section
 
 QUICK = os.environ.get("E19_QUICK", "") not in ("", "0")
 
@@ -51,22 +53,13 @@ EXPECTED_STAGES = (
 )
 
 
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E19.json (tests run in either order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E19",
-        "title": "Causal telemetry: reconstruction fidelity and tracing "
-                 "overhead",
-        "unit": {"overhead": "percent wall clock", "reconstruction": "spans"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+RESULTS_HEADER = {
+    "experiment": "E19",
+    "title": "Causal telemetry: reconstruction fidelity and tracing "
+             "overhead",
+    "unit": {"overhead": "percent wall clock", "reconstruction": "spans"},
+}
+_export = functools.partial(export_section, RESULTS_PATH, RESULTS_HEADER)
 
 
 def takedown_scenario(seed: int = 11, fault_plan=None) -> ConfrontationScenario:
@@ -163,18 +156,8 @@ def _time_run(spans_enabled: bool) -> tuple:
 
 
 def test_e19_tracing_overhead(experiment):
-    _time_run(True)                        # warm-up both code paths
-    _time_run(False)
-    on_times, off_times = [], []
-    events = spans = 0
-    for _ in range(REPS):                  # interleaved: drift cancels
-        elapsed, events, spans = _time_run(True)
-        on_times.append(elapsed)
-        elapsed, _, _ = _time_run(False)
-        off_times.append(elapsed)
-
-    best_on, best_off = min(on_times), min(off_times)
-    overhead_pct = (best_on - best_off) / best_off * 100.0
+    best_on, best_off, overhead_pct, (events, spans) = best_of_interleaved(
+        _time_run, REPS)
 
     table = ExperimentTable(
         f"E19b tracing overhead (full defense, all threats, horizon "

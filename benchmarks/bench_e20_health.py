@@ -34,7 +34,7 @@ Quick mode (``E20_QUICK=1``, used by CI): one storm seed, fewer timing
 repetitions.
 """
 
-import json
+import functools
 import os
 import time
 
@@ -42,6 +42,8 @@ from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig
 from repro.sim.faults import FaultPlan, LinkDegradation, NetworkPartition
 from repro.telemetry.health import CompactionController
+
+from conftest import best_of_interleaved, export_section
 
 QUICK = os.environ.get("E20_QUICK", "") not in ("", "0")
 
@@ -55,23 +57,14 @@ RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E20.json")
 BUNDLE_DIR = os.path.join(RESULTS_DIR, "health_bundle")
 
 
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E20.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E20",
-        "title": "Fleet health monitor: adaptive quarantine, sized "
-                 "compaction, and monitor overhead",
-        "unit": {"quarantines": "devices", "journal_bytes": "bytes",
-                 "overhead": "percent wall clock"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+RESULTS_HEADER = {
+    "experiment": "E20",
+    "title": "Fleet health monitor: adaptive quarantine, sized "
+             "compaction, and monitor overhead",
+    "unit": {"quarantines": "devices", "journal_bytes": "bytes",
+             "overhead": "percent wall clock"},
+}
+_export = functools.partial(export_section, RESULTS_PATH, RESULTS_HEADER)
 
 
 # -- arm builders -------------------------------------------------------------------
@@ -305,18 +298,8 @@ def _time_run(health: bool) -> tuple:
 
 
 def test_e20_monitor_overhead(experiment):
-    _time_run(True)                        # warm-up both code paths
-    _time_run(False)
-    on_times, off_times = [], []
-    events = 0
-    for _ in range(REPS):                  # interleaved: drift cancels
-        elapsed, events = _time_run(True)
-        on_times.append(elapsed)
-        elapsed, _ = _time_run(False)
-        off_times.append(elapsed)
-
-    best_on, best_off = min(on_times), min(off_times)
-    overhead_pct = (best_on - best_off) / best_off * 100.0
+    best_on, best_off, overhead_pct, (events,) = best_of_interleaved(
+        _time_run, REPS)
 
     table = ExperimentTable(
         f"E20d monitor overhead (full defense, all threats, horizon "

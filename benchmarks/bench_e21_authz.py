@@ -32,6 +32,7 @@ forgery run also dumps the gateway's audit-chained rejection log to
 Quick mode (``E21_QUICK=1``, used by CI): one seed, fewer timing reps.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -40,6 +41,8 @@ import time
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig
 from repro.scenarios.sweep import run_sweep
+
+from conftest import best_of_interleaved, export_section
 
 QUICK = os.environ.get("E21_QUICK", "") not in ("", "0")
 
@@ -54,22 +57,13 @@ RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E21.json")
 REJECTS_PATH = os.path.join(RESULTS_DIR, "authz_rejects.jsonl")
 
 
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E21.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E21",
-        "title": "Cryptographic execution authorization: signed envelopes, "
-                 "replay-proof gateway, forgery/replay/stolen-key campaign",
-        "unit": {"healthy_killed": "devices", "overhead": "percent wall clock"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+RESULTS_HEADER = {
+    "experiment": "E21",
+    "title": "Cryptographic execution authorization: signed envelopes, "
+             "replay-proof gateway, forgery/replay/stolen-key campaign",
+    "unit": {"healthy_killed": "devices", "overhead": "percent wall clock"},
+}
+_export = functools.partial(export_section, RESULTS_PATH, RESULTS_HEADER)
 
 
 def trace_digest(sim) -> str:
@@ -253,18 +247,8 @@ def _time_run(signed: bool):
 
 
 def test_e21_crypto_overhead(experiment):
-    _time_run(True)                        # warm-up both code paths
-    _time_run(False)
-    on_times, off_times = [], []
-    events = 0
-    for _ in range(REPS):                  # interleaved: drift cancels
-        elapsed, events = _time_run(True)
-        on_times.append(elapsed)
-        elapsed, _ = _time_run(False)
-        off_times.append(elapsed)
-
-    best_on, best_off = min(on_times), min(off_times)
-    overhead_pct = (best_on - best_off) / best_off * 100.0
+    best_on, best_off, overhead_pct, (events,) = best_of_interleaved(
+        _time_run, REPS)
 
     table = ExperimentTable(
         f"E21c crypto overhead (worm-only campaign, identical workload, "

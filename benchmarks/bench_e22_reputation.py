@@ -38,6 +38,7 @@ grant/exercise/expiry/revocation with its tick.
 Quick mode (``E22_QUICK=1``, used by CI): one seed, two shard counts.
 """
 
+import functools
 import json
 import os
 
@@ -57,6 +58,8 @@ from repro.scenarios.reputation import (ReputationScenario,
 from repro.sim.simulator import Simulator
 from repro.trust.reputation import ReputationLedger
 
+from conftest import export_section
+
 QUICK = os.environ.get("E22_QUICK", "") not in ("", "0")
 
 SEEDS = (11,) if QUICK else (11, 23, 47)
@@ -67,23 +70,14 @@ RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E22.json")
 LEASES_PATH = os.path.join(RESULTS_DIR, "leases.jsonl")
 
 
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E22.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E22",
-        "title": "Reputation-weighted autonomy and leased emergency "
-                 "powers: earned-trust quorum weights, budget scaling, "
-                 "and partition-survivable scoped leases",
-        "unit": {"containment": "ticks", "vents": "actuations"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+RESULTS_HEADER = {
+    "experiment": "E22",
+    "title": "Reputation-weighted autonomy and leased emergency "
+             "powers: earned-trust quorum weights, budget scaling, "
+             "and partition-survivable scoped leases",
+    "unit": {"containment": "ticks", "vents": "actuations"},
+}
+_export = functools.partial(export_section, RESULTS_PATH, RESULTS_HEADER)
 
 
 # -- weighted containment ------------------------------------------------------------
@@ -321,9 +315,9 @@ def test_e22_lease_abuser_is_rejected_wholesale(experiment):
     # forgery died on the MAC.
     assert len(registry.leases()) == 2
     rejects = {}
-    for event in registry.events:
-        if event["kind"] == "rejected":
-            rejects[event["reason"]] = rejects.get(event["reason"], 0) + 1
+    for event in sim.trace.query("lease.rejected", subject="registry"):
+        reason = event.detail["reason"]
+        rejects[reason] = rejects.get(reason, 0) + 1
     assert sum(rejects.values()) == 5
     assert rejects.get("bad-mac", 0) == 3
     assert rejects.get("replayed", 0) + rejects.get("stale", 0) == 2

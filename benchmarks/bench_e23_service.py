@@ -35,6 +35,7 @@ JSONL record per served request.
 Quick mode (``E23_QUICK=1``, used by CI): fewer requests and reps.
 """
 
+import functools
 import http.client
 import json
 import os
@@ -45,6 +46,8 @@ import time
 from repro.api.http import ServerThread
 from repro.api.service import ControlPlane, ControlPlaneConfig
 from repro.scenarios.harness import ExperimentTable
+
+from conftest import export_section
 
 QUICK = os.environ.get("E23_QUICK", "") not in ("", "0")
 
@@ -60,23 +63,14 @@ RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E23.json")
 ACCESS_LOG_PATH = os.path.join(RESULTS_DIR, "api_access.jsonl")
 
 
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E23.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E23",
-        "title": "Always-on policy control plane with end-to-end request "
-                 "observability",
-        "unit": {"latency": "milliseconds", "throughput": "requests/sec",
-                 "overhead": "percent wall clock"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+RESULTS_HEADER = {
+    "experiment": "E23",
+    "title": "Always-on policy control plane with end-to-end request "
+             "observability",
+    "unit": {"latency": "milliseconds", "throughput": "requests/sec",
+             "overhead": "percent wall clock"},
+}
+_export = functools.partial(export_section, RESULTS_PATH, RESULTS_HEADER)
 
 
 def percentile(sorted_values: list, q: float) -> float:

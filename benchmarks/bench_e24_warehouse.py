@@ -26,12 +26,14 @@ Four claims, one experiment file:
   drift lands on both equally (median ratio across trials).
 
 Results export to ``benchmarks/results/BENCH_E24.json``; the warehouse's
-per-experiment medians fold into ``benchmarks/results/TRAJECTORY.json``
-— the longitudinal perf/defense record CI appends to per revision.
+per-experiment medians over the real artifacts (never the synthetic
+throughput fixtures) fold into ``benchmarks/results/TRAJECTORY.json`` —
+the longitudinal perf/defense record CI appends to per revision.
 
 Quick mode (``E24_QUICK=1``, used by CI): fewer seeds, shorter horizon.
 """
 
+import functools
 import http.client
 import json
 import os
@@ -54,6 +56,8 @@ from repro.telemetry.warehouse import (
     ingest_results_dir,
     update_trajectory,
 )
+
+from conftest import export_section
 
 QUICK = os.environ.get("E24_QUICK", "") not in ("", "0")
 
@@ -93,22 +97,13 @@ def _git_rev() -> str:
         return "local"
 
 
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E24.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E24",
-        "title": "Telemetry warehouse + cross-run regression sentinel",
-        "unit": {"throughput": "records or queries/sec",
-                 "overhead": "percent wall clock"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+RESULTS_HEADER = {
+    "experiment": "E24",
+    "title": "Telemetry warehouse + cross-run regression sentinel",
+    "unit": {"throughput": "records or queries/sec",
+             "overhead": "percent wall clock"},
+}
+_export = functools.partial(export_section, RESULTS_PATH, RESULTS_HEADER)
 
 
 def _scenario_bundle(dirpath: str, seed: int, arm: str = "full") -> str:
@@ -163,6 +158,14 @@ def test_warehouse_ingests_real_artifacts_and_queries(tmp_path, experiment):
     ingest_results_dir(warehouse, RESULTS_DIR, git_rev=_git_rev())
     assert len(warehouse) == total_real
 
+    # The trajectory point folds the real artifacts only: it is taken
+    # before the synthetic fixture records below enter the warehouse.
+    trajectory = update_trajectory(warehouse, TRAJECTORY_PATH,
+                                   git_rev=_git_rev())
+    point = trajectory["points"][-1]
+    assert point["runs"] == total_real
+    assert "synthetic" not in point["experiments"]
+
     # Ingest throughput on synthetic records (constant artifact size).
     start = time.perf_counter()
     for index in range(SYNTHETIC_RECORDS):
@@ -184,10 +187,6 @@ def test_warehouse_ingests_real_artifacts_and_queries(tmp_path, experiment):
     groups = reopened.group("throughput_rps", by="arm",
                             where={"experiment": "synthetic"})
     assert len(groups) == 4
-
-    trajectory = update_trajectory(reopened, TRAJECTORY_PATH,
-                                   git_rev=_git_rev())
-    assert trajectory["points"]
 
     table = ExperimentTable(
         "E24 warehouse ingest + query",

@@ -5,10 +5,16 @@ and *reproduce an experiment table* (the rows DESIGN.md's experiment index
 promises).  Tables are registered through the ``experiment`` fixture and
 printed in the terminal summary (which pytest does not capture), and also
 written to ``benchmarks/results/<name>.txt`` for the record.
+
+Bench modules import the two shared helpers below directly
+(``from conftest import ...``): :func:`export_section` merges one result
+section into a ``BENCH_*.json`` document, and :func:`best_of_interleaved`
+is the on/off overhead timing protocol.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -32,6 +38,40 @@ def experiment():
             handle.write(table.render() + "\n")
 
     return register
+
+
+def export_section(path: str, header: dict, section: str,
+                   payload: dict) -> None:
+    """Merge ``payload`` as ``section`` into the JSON document at ``path``
+    (tests run in any order); a new document starts from ``header``."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    document = dict(header)
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    document[section] = payload
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True, default=str)
+        handle.write("\n")
+
+
+def best_of_interleaved(run, reps: int) -> tuple:
+    """Time an on/off pair: ``run(on)`` returns ``(elapsed_sec, *extras)``.
+
+    One warm-up of each arm, then ``reps`` on/off runs back to back so
+    machine drift cancels.  Returns ``(best_on, best_off, overhead_pct,
+    extras)`` with ``extras`` from the last on-arm run.
+    """
+    run(True)
+    run(False)
+    on_times, off_times = [], []
+    extras = []
+    for _ in range(reps):
+        elapsed, *extras = run(True)
+        on_times.append(elapsed)
+        off_times.append(run(False)[0])
+    best_on, best_off = min(on_times), min(off_times)
+    return best_on, best_off, (best_on - best_off) / best_off * 100.0, extras
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

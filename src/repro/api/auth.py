@@ -43,10 +43,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
 
 class AdmissionControl:
     """API-key authentication plus per-principal rate limiting.

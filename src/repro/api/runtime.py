@@ -29,6 +29,10 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.tracing import TraceRecorder
 from repro.telemetry.spans import Tracer
 
+#: Trace records a service retains; later records are counted as
+#: dropped (spans keep the :class:`Tracer` default cap).
+TRACE_CAPACITY = 100_000
+
 
 class ManualClock:
     """A settable clock for deterministic tests: ``advance`` moves time."""
@@ -128,14 +132,11 @@ class ServiceRuntime:
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 spans_enabled: bool = True,
-                 span_capacity: Optional[int] = 200_000,
-                 trace_capacity: Optional[int] = 100_000):
+                 spans_enabled: bool = True):
         self.clock = clock if clock is not None else MonotonicClock()
         self.metrics = MetricsRegistry()
-        self.telemetry = Tracer(enabled=spans_enabled, capacity=span_capacity,
-                                clock=lambda: self.now)
-        self.trace = TraceRecorder(capacity=trace_capacity,
+        self.telemetry = Tracer(enabled=spans_enabled, clock=lambda: self.now)
+        self.trace = TraceRecorder(capacity=TRACE_CAPACITY,
                                    enabled=spans_enabled)
         #: Requests handled (the bundle manifest's ``events_processed``).
         self.events_processed = 0

@@ -181,8 +181,3 @@ class WormAttack(Attack):
                     continue
                 if rng.chance(self.spread_prob):
                     self._infect(peer_id, sim, record)
-
-    def note_containment(self, device_id: str, time: float,
-                         record: AttackRecord) -> None:
-        """Scenarios call this when a watchdog deactivates an infected device."""
-        record.mark_contained(device_id, time)

@@ -48,9 +48,6 @@ class SensorDeceptionAttack(Attack):
         sim.record("attack.deception", ",".join(self.colluders),
                    false_value=self.false_value)
 
-    def stop(self) -> None:
-        self.active = False
-
     def corrupt(self, readings: Sequence[SensorReading],
                 rng=None) -> list[SensorReading]:
         """Replace colluders' readings with the coordinated false value.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import AttackError
 from repro.sim.simulator import Simulator
@@ -126,9 +125,3 @@ class AttackInjector:
         for record in self.records:
             out |= record.active_at(time)
         return out
-
-    def record_for(self, attack_id: int) -> Optional[AttackRecord]:
-        for record in self.records:
-            if record.attack_id == attack_id:
-                return record
-        return None

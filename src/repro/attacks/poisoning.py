@@ -72,11 +72,3 @@ class PoisoningCampaign:
     @property
     def poisoned_count(self) -> int:
         return len(self.poisoned_indices)
-
-    def describe(self) -> dict:
-        return {
-            "mode": self.mode,
-            "rate": self.rate,
-            "target_label": self.target_label,
-            "poisoned": self.poisoned_count,
-        }

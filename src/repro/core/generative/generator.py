@@ -188,13 +188,6 @@ class GenerativePolicyEngine:
 
     # -- reporting --------------------------------------------------------------------
 
-    def generated_for(self, device_id: str) -> list[str]:
-        out = []
-        for record in self.records:
-            if record.observer == device_id:
-                out.extend(record.generated)
-        return out
-
     def coverage(self) -> dict:
         """observer_id -> number of distinct peers policies were generated for."""
         seen: dict[str, set] = {}

@@ -9,7 +9,6 @@ discovers a device of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -97,12 +96,6 @@ class InteractionGraph:
     def knows_type(self, type_name: str) -> bool:
         return type_name in self._types
 
-    def type_node(self, type_name: str) -> Optional[DeviceTypeNode]:
-        return self._types.get(type_name)
-
-    def types(self) -> list[str]:
-        return sorted(self._types)
-
     def interactions_for(self, observer_type: str,
                          discovered_type: str) -> list[InteractionEdge]:
         return [
@@ -110,12 +103,6 @@ class InteractionGraph:
             if edge.observer_type == observer_type
             and edge.discovered_type == discovered_type
         ]
-
-    def edges_from(self, observer_type: str) -> list[InteractionEdge]:
-        return [edge for edge in self._edges if edge.observer_type == observer_type]
-
-    def all_edges(self) -> list[InteractionEdge]:
-        return list(self._edges)
 
     def validate_record(self, record: dict) -> list[str]:
         """Mismatches between a discovery record and the declared type.

@@ -103,14 +103,7 @@ class PolicyRefinement:
             return None
         return self.type_classifier.classify(record.get("attributes", {}))
 
-    def predict_attribute(self, target: str, known: dict) -> Optional[float]:
-        return self.attribute_model.predict_attribute(target, known)
-
     # -- policy sharing ---------------------------------------------------------------
-
-    def share(self, gossip_node, policy: Policy) -> None:
-        """Publish a policy onto the gossip mesh."""
-        gossip_node.publish(f"policy:{policy.policy_id}", serialize_policy(policy))
 
     def installer(self, device: Device, time_fn=None):
         """A gossip ``on_update`` callback that installs shared policies.

@@ -147,6 +147,3 @@ class TemplateRegistry:
 
     def __len__(self) -> int:
         return len(self._templates)
-
-    def ids(self) -> list[str]:
-        return sorted(self._templates)

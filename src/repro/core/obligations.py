@@ -105,9 +105,6 @@ class ObligationOntology:
                         selected.append(obligation)
         return selected
 
-    def hazards(self) -> list[str]:
-        return sorted(self._by_hazard)
-
 
 @dataclass
 class PendingObligation:

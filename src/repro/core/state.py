@@ -228,10 +228,6 @@ class DeviceState:
     def history(self) -> list[Transition]:
         return list(self._history)
 
-    def numeric_vector(self) -> dict:
-        """Only the numeric variables (used by utility functions, sec VII)."""
-        return {n: self._values[n] for n in self.space.numeric_names()}
-
     def clamp_changes(self, changes: dict) -> dict:
         """Saturate numeric assignments at the declared physical bounds.
 

@@ -56,9 +56,6 @@ class Keyring:
     def known(self, issuer: str) -> bool:
         return issuer in self._issued
 
-    def issuers(self) -> list[str]:
-        return sorted(self._issued)
-
     def steal(self, issuer: str) -> bytes:
         """An attacker's copy of ``issuer``'s key (no authorization change).
 

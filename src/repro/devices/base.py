@@ -100,11 +100,6 @@ class SimDevice:
         self.device.engine.on_decision = on_decision
         self.audit = audit
 
-    def emit_sensor(self, name: str, value) -> None:
-        """Inject a sensor reading as an event at the current sim time."""
-        self.device.deliver(Event.sensor(name, value, time=self.sim.now,
-                                         source=self.device_id))
-
     def every(self, interval: float, label: str = ""):
         """Periodic management tick feeding ``timer.<label>`` events."""
         return self.sim.every(

@@ -49,9 +49,6 @@ class HumanOperator:
     def assign(self, device: Device) -> None:
         self.devices[device.device_id] = device
 
-    def fleet_size(self) -> int:
-        return len(self.devices)
-
     # -- commanding -------------------------------------------------------------------
 
     def command(self, device_id: str, verb: str,

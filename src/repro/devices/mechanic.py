@@ -51,9 +51,6 @@ class MechanicDevice:
         self._task = sim.every(repair_interval, self.sweep,
                                label=f"mechanic:{mechanic_id}")
 
-    def stop(self) -> None:
-        self._task.cancel()
-
     def sweep(self) -> list[str]:
         """Repair up to ``repair_capacity`` deactivated devices."""
         repaired = []

@@ -101,9 +101,6 @@ class ThreatAssessmentService:
         self.rounds = 0
         self._task = sim.every(interval, self.assess, label="threat-assessment")
 
-    def stop(self) -> None:
-        self._task.cancel()
-
     def readings(self) -> list:
         out = []
         for tower_id in sorted(self.towers):

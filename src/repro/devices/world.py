@@ -44,9 +44,6 @@ class Human:
     alive: bool = True
     injured: bool = False
 
-    def position(self) -> tuple:
-        return (self.x, self.y)
-
 
 @dataclass
 class Hazard:
@@ -100,9 +97,6 @@ class Convoy:
     @property
     def active(self) -> bool:
         return self.intercepted_by is None and not self.escaped
-
-    def position(self) -> tuple:
-        return (self.x, self.y)
 
 
 def _distance(x1: float, y1: float, x2: float, y2: float) -> float:

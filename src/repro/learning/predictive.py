@@ -46,13 +46,6 @@ class _PairwiseRegression:
             return None
         return self.cov_xy / self.var_x
 
-    @property
-    def intercept(self) -> Optional[float]:
-        slope = self.slope
-        if slope is None:
-            return None
-        return self.mean_y - slope * self.mean_x
-
     def predict(self, x: float) -> Optional[float]:
         slope = self.slope
         if slope is None:

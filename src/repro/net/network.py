@@ -177,6 +177,3 @@ class Network:
 
     def broadcast(self, sender: str, topic: str, body: dict) -> Message:
         return self.send(sender, BROADCAST, topic, body)
-
-    def delivered_count(self) -> int:
-        return int(self.sim.metrics.value("net.delivered"))

@@ -28,9 +28,11 @@ Delivery protocol (conservative barrier synchronization):
   of ticks and deliveries is shard-invariant too.
 
 :class:`~repro.net.reliable.ReliableChannel` interoperates unchanged:
-the router exposes the ``register`` / ``replace_handler`` / ``send`` /
-``sim`` surface the channel duck-types against, so ack/retry traffic can
-cross shard boundaries.  (Give each shard's channel a distinct
+the router exposes the ``register`` / ``send`` / ``sim`` surface that
+``ReliableChannel.register`` duck-types against, so ack/retry traffic
+can cross shard boundaries.  (``ReliableChannel.attach`` rewraps an
+already-registered handler and so needs a plain
+:class:`~repro.net.network.Network`.  Give each shard's channel a distinct
 ``rmid_prefix`` so concurrently minted message ids never collide at a
 shared recipient; note the channel's retry *jitter* draws from a
 per-shard RNG stream, so runs that must stay byte-identical across
@@ -115,7 +117,6 @@ class ShardRouter:
         self.loss_rate = float(loss_rate)
         self.jitter_frac = float(jitter_frac)
         self._handlers: dict[str, Handler] = {}
-        self._suspended: set = set()
         self._outbox: list[WireMessage] = []
         self._seq: dict[str, int] = {}
         metrics = sim.metrics
@@ -133,27 +134,6 @@ class ShardRouter:
         if address in self._handlers:
             raise NetworkError(f"address {address!r} already registered")
         self._handlers[address] = handler
-
-    def unregister(self, address: str) -> None:
-        self._handlers.pop(address, None)
-        self._suspended.discard(address)
-
-    def replace_handler(self, address: str, handler: Handler) -> Handler:
-        if address not in self._handlers:
-            raise NetworkError(f"address {address!r} is not registered")
-        previous = self._handlers[address]
-        self._handlers[address] = handler
-        return previous
-
-    def suspend(self, address: str) -> None:
-        if address in self._handlers:
-            self._suspended.add(address)
-
-    def resume(self, address: str) -> None:
-        self._suspended.discard(address)
-
-    def addresses(self) -> list:
-        return sorted(self._handlers)
 
     # -- sending --------------------------------------------------------------
 
@@ -216,7 +196,7 @@ class ShardRouter:
 
     def _deliver(self, message: WireMessage) -> None:
         handler = self._handlers.get(message.recipient)
-        if handler is None or message.recipient in self._suspended:
+        if handler is None:
             self._m_unroutable.inc()
             return
         self._m_delivered.inc()

@@ -39,9 +39,6 @@ class Topology:
             self._graph.remove_node(address)
         self._partition_of.pop(address, None)
 
-    def members(self) -> list[str]:
-        return sorted(self._graph.nodes)
-
     def __contains__(self, address: str) -> bool:
         return address in self._graph
 
@@ -52,10 +49,6 @@ class Topology:
             raise NetworkError("self-links are not allowed")
         self._explicit = True
         self._graph.add_edge(a, b)
-
-    def remove_link(self, a: str, b: str) -> None:
-        if self._graph.has_edge(a, b):
-            self._graph.remove_edge(a, b)
 
     def neighbors(self, address: str) -> list[str]:
         if address not in self._graph:
@@ -121,10 +114,6 @@ class Topology:
         return component
 
     # -- canned shapes --------------------------------------------------------------
-
-    @staticmethod
-    def full(members: Iterable[str]) -> "Topology":
-        return Topology(members)
 
     @staticmethod
     def star(hub: str, leaves: Iterable[str]) -> "Topology":

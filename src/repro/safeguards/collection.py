@@ -235,9 +235,6 @@ class CollectionGuard:
         return ([member.state.snapshot() for member in self.members.values()]
                 + list(self.remote_members.values()))
 
-    def current_analysis(self) -> dict:
-        return self.analyzer.analyze(self._member_snapshots(), worst_case=False)
-
 
 class CollectiveStateAssessment:
     """Joint pre-commit check of a *set* of planned actions (sec VI-D).

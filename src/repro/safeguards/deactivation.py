@@ -253,9 +253,6 @@ class Watchdog:
         if approach_strikes is not None:
             override["approach_strikes"] = max(1, int(approach_strikes))
 
-    def clear_strictness(self, device_id: str) -> None:
-        self._strictness.pop(device_id, None)
-
     def _strictness_for(self, device_id: str) -> tuple:
         override = self._strictness.get(device_id)
         if override is None:

@@ -82,9 +82,15 @@ class LeaseAuthority:
     must reach ``min_aggregate`` — emergency powers are something a
     group earns, not something a partition confers.  ``signer`` /
     ``verifier`` are the E21 envelope ends; ``max_duration`` caps any
-    requested lease length.  ``trace=False`` silences ``sim.record``
-    (used by per-shard registry replicas so the merged F4 trace stays
-    shard-count-invariant; the single granting authority keeps tracing).
+    requested lease length.
+
+    The lifecycle record is the simulator trace: ``lease.grant``,
+    ``lease.denied``, ``lease.rejected``, ``lease.revoked`` and
+    ``lease.expired``, subject ``name`` (E22's ``leases.jsonl`` is built
+    from these records).  ``trace=False`` silences them (used by
+    per-shard registry replicas so the merged F4 trace stays
+    shard-count-invariant; the single granting authority keeps tracing);
+    the ``lease.*`` counters still count every event.
     """
 
     def __init__(
@@ -119,8 +125,6 @@ class LeaseAuthority:
         self.trace = trace
         self._leases: dict[str, EmergencyLease] = {}
         self._counter = itertools.count(1)
-        #: Flat audit trail of every lifecycle event (leases.jsonl shape).
-        self.events: list[dict] = []
 
     # -- granting (authority role) ----------------------------------------------
 
@@ -140,10 +144,6 @@ class LeaseAuthority:
             aggregate = self.ledger.aggregate(grantees, now)
             if aggregate < self.min_aggregate:
                 self.sim.metrics.counter("lease.denied").inc()
-                self._event({"kind": "denied", "time": now, "cause": cause,
-                             "grantees": list(grantees),
-                             "aggregate": aggregate,
-                             "required": self.min_aggregate})
                 if self.trace:
                     self.sim.record("lease.denied", self.name,
                                     grantees=list(grantees),
@@ -210,8 +210,6 @@ class LeaseAuthority:
         if not ok:
             self.sim.metrics.counter("lease.rejected").inc()
             self.sim.metrics.counter(f"lease.rejected.{reason}").inc()
-            self._event({"kind": "rejected", "time": now, "reason": reason,
-                         "lease": body.get("lease_id")})
             if self.trace:
                 self.sim.record("lease.rejected", self.name,
                                 lease=body.get("lease_id"), reason=reason,
@@ -238,10 +236,6 @@ class LeaseAuthority:
 
     def _register(self, lease: EmergencyLease, journal: bool) -> None:
         self._leases[lease.lease_id] = lease
-        self._event({"kind": "grant", "time": self.sim.now,
-                     "lease": lease.lease_id, "scope": list(lease.scope),
-                     "grantees": list(lease.grantees),
-                     "expires_at": lease.expires_at, "cause": lease.cause})
         if journal:
             self._journal_write({
                 "kind": "grant", "lease": lease.lease_id,
@@ -272,8 +266,6 @@ class LeaseAuthority:
         self._journal_write({"kind": "exercise", "lease": lease_id,
                              "time": now})
         self._span("lease.exercise", lease_id, count=lease.exercised)
-        self._event({"kind": "exercise", "time": now, "lease": lease_id,
-                     "count": lease.exercised})
 
     def revoke(self, lease_id: str, cause: str = "heal") -> bool:
         """Early revocation (partition healed, operator override).
@@ -292,8 +284,6 @@ class LeaseAuthority:
                             cause=cause)
         self._span("lease.revoke", lease_id, cause=cause)
         self._audit_write("lease.revoked", {"lease": lease_id, "cause": cause})
-        self._event({"kind": "revoke", "time": now, "lease": lease_id,
-                     "cause": cause})
         return True
 
     def revoke_all(self, cause: str = "heal") -> int:
@@ -316,8 +306,6 @@ class LeaseAuthority:
             self.sim.record("lease.expired", self.name, lease=lease.lease_id,
                             cause=cause)
         self._span("lease.expire", lease.lease_id, cause=cause)
-        self._event({"kind": "expire", "time": now, "lease": lease.lease_id,
-                     "cause": cause})
 
     def active_leases(self) -> list[EmergencyLease]:
         now = self.sim.now
@@ -334,7 +322,6 @@ class LeaseAuthority:
         again) and *dead* ones (a stale grant could re-admit)."""
         lost = len(self._leases)
         self._leases = {}
-        self.events = []
         return {"lost": lost, "kind": "leases",
                 "journaled": self._journal is not None}
 
@@ -390,9 +377,6 @@ class LeaseAuthority:
         return {"replayed": replayed}
 
     # -- plumbing ----------------------------------------------------------------
-
-    def _event(self, event: dict) -> None:
-        self.events.append(event)
 
     def _journal_write(self, payload: dict) -> None:
         if self._journal is not None:

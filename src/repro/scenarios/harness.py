@@ -196,27 +196,6 @@ def run_matrix(
     return aggregated
 
 
-def write_telemetry_bundle(sim, dirpath: str,
-                           extra: Optional[dict] = None,
-                           experiment: Optional[str] = None,
-                           arm: Optional[str] = None,
-                           seed=None) -> dict:
-    """Write the per-run telemetry bundle for any simulation.
-
-    Thin harness-level wrapper over
-    :func:`repro.telemetry.exposition.write_bundle` so every benchmark
-    can emit the same artifact layout (``metrics.prom``,
-    ``metrics.jsonl``, ``spans.jsonl``, ``events.jsonl``,
-    ``manifest.json``) regardless of which scenario it ran; pass
-    ``experiment``/``arm``/``seed`` so the manifest self-describes for
-    warehouse ingest.
-    """
-    from repro.telemetry.exposition import write_bundle
-
-    return write_bundle(sim, dirpath, extra_manifest=extra,
-                        experiment=experiment, arm=arm, seed=seed)
-
-
 def run_replications(run_fn: Callable[[int], dict], seeds: Sequence[int]) -> dict:
     """Run ``run_fn(seed)`` per seed and aggregate numeric result keys.
 

@@ -44,8 +44,9 @@ Shard-invariance notes (each is load-bearing):
 * per-shard lease *registries* run with ``trace=False`` — a grant is
   admitted by however many shards host group-B devices, which depends on
   the layout and must stay off the trace;
-* lease lifecycle counters are read off the overseer's authority at
-  finalize (zero elsewhere), so the summed summary is layout-free;
+* lease lifecycle counters count the overseer authority's own
+  ``lease.*`` trace records at finalize (zero elsewhere), so the summed
+  summary is layout-free;
 * all stochastic inputs are :func:`~repro.net.shardnet.crc01` hashes of
   the master seed — never process-local RNG.
 """
@@ -497,15 +498,17 @@ class ReputationShard:
         counters = dict(self.counters)
         counters["alive"] = sum(1 for name in self.devices
                                 if self.alive[name])
-        lease_kinds = {"grant": 0, "denied": 0, "expire": 0, "revoke": 0}
+        lease_kinds = {"lease.grant": 0, "lease.denied": 0,
+                       "lease.expired": 0, "lease.revoked": 0}
         if self.authority is not None:
-            for event in self.authority.events:
-                if event["kind"] in lease_kinds:
-                    lease_kinds[event["kind"]] += 1
-        counters["lease_grants"] = lease_kinds["grant"]
-        counters["lease_denied"] = lease_kinds["denied"]
-        counters["lease_expirations"] = lease_kinds["expire"]
-        counters["lease_revocations"] = lease_kinds["revoke"]
+            for event in self.sim.trace.events:
+                if (event.kind in lease_kinds
+                        and event.subject == self.authority.name):
+                    lease_kinds[event.kind] += 1
+        counters["lease_grants"] = lease_kinds["lease.grant"]
+        counters["lease_denied"] = lease_kinds["lease.denied"]
+        counters["lease_expirations"] = lease_kinds["lease.expired"]
+        counters["lease_revocations"] = lease_kinds["lease.revoked"]
         counters["weighted"] = self.spec.weighted
         counters["leased"] = self.spec.leased
         counters["partition"] = self.spec.partition

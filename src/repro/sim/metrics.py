@@ -191,14 +191,6 @@ class TimeSeries:
                 total += t1 - t0
         return total
 
-    def snapshot(self) -> dict:
-        return {
-            "type": "timeseries",
-            "count": len(self.samples),
-            "last": self.last(),
-            "peak": self.peak(),
-        }
-
 
 class MetricsRegistry:
     """Namespace of metrics for one simulation run."""

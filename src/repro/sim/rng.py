@@ -60,9 +60,6 @@ class SeededRNG:
     def sample(self, seq: Sequence[T], k: int) -> list[T]:
         return self._random.sample(seq, k)
 
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)
-
     def chance(self, probability: float) -> bool:
         """Return ``True`` with the given probability."""
         if probability <= 0.0:

@@ -101,12 +101,10 @@ class Supervisor:
 class Simulator:
     """Deterministic discrete-event simulator."""
 
-    def __init__(self, seed: int = 0, trace_capacity: Optional[int] = None,
+    def __init__(self, seed: int = 0,
                  supervision: str = "propagate", kill_threshold: int = 1,
                  livelock_threshold: Optional[int] = 100_000,
-                 trace_enabled: bool = True, trace_sample_every: int = 1,
-                 spans_enabled: bool = True,
-                 span_capacity: Optional[int] = 200_000):
+                 trace_enabled: bool = True, spans_enabled: bool = True):
         """``supervision`` picks the crash policy (see :class:`Supervisor`).
 
         ``livelock_threshold`` caps *consecutive* events processed at one
@@ -115,25 +113,22 @@ class Simulator:
         a faulty callback self-reschedules at delay 0.  ``None`` disables
         the guard.
 
-        ``trace_enabled``/``trace_sample_every`` configure the
-        :class:`TraceRecorder` (disabled or sampled tracing for perf
-        runs — see ``repro.sim.tracing``); the default keeps full,
-        byte-identical-on-replay traces.
+        ``trace_enabled=False`` turns the :class:`TraceRecorder` off for
+        perf runs (see ``repro.sim.tracing``); the default keeps full,
+        unbounded, byte-identical-on-replay traces.
 
-        ``spans_enabled``/``span_capacity`` configure causal-span
-        telemetry (:mod:`repro.telemetry.spans`): the scheduler captures
-        the active span context into every scheduled event, so spans
-        follow causality across message hops and retries."""
+        ``spans_enabled`` switches causal-span telemetry
+        (:mod:`repro.telemetry.spans`, with the :class:`Tracer` default
+        span cap): the scheduler captures the active span context into
+        every scheduled event, so spans follow causality across message
+        hops and retries."""
         if livelock_threshold is not None and livelock_threshold < 1:
             raise SimulationError("livelock_threshold must be >= 1 or None")
         self.queue = EventQueue()
         self.rng = SeededRNG(seed)
         self.metrics = MetricsRegistry()
-        self.trace = TraceRecorder(capacity=trace_capacity,
-                                   enabled=trace_enabled,
-                                   sample_every=trace_sample_every)
-        self.telemetry = Tracer(enabled=spans_enabled, capacity=span_capacity,
-                                clock=lambda: self._now)
+        self.trace = TraceRecorder(enabled=trace_enabled)
+        self.telemetry = Tracer(enabled=spans_enabled, clock=lambda: self._now)
         self.supervisor = Supervisor(self, supervision, kill_threshold)
         self.livelock_threshold = livelock_threshold
         #: Optional :class:`~repro.sim.profiling.Profiler`; when set the
@@ -202,45 +197,6 @@ class Simulator:
         event.cancel()      # idempotent; the handle keeps queue accounting
 
     # -- execution -----------------------------------------------------------
-
-    def step(self) -> bool:
-        """Process a single event.  Returns ``False`` when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("event queue returned an event from the past")
-        self._check_livelock(event)
-        self._now = event.time
-        telemetry = self.telemetry
-        telemetry.current = event.span
-        try:
-            event.callback(*event.args)
-        except Exception as error:
-            if not self.supervisor.handle(event, error):
-                raise
-        finally:
-            telemetry.current = None
-        self.events_processed += 1
-        return True
-
-    def _check_livelock(self, event: ScheduledEvent) -> None:
-        if self.livelock_threshold is None:
-            return
-        if event.time == self._now and self.events_processed > 0:
-            self._stall_count += 1
-            self._stall_labels.append(event.label)
-            if len(self._stall_labels) > 8:
-                del self._stall_labels[0]
-            if self._stall_count > self.livelock_threshold:
-                raise SimulationError(
-                    f"livelock: {self._stall_count} consecutive events at "
-                    f"t={self._now} (threshold {self.livelock_threshold}); "
-                    f"recent labels: {self._stall_labels}"
-                )
-        else:
-            self._stall_count = 0
-            self._stall_labels.clear()
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue empties, ``until`` is reached, or ``max_events`` fire.

@@ -9,7 +9,7 @@ chain on top of these records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -34,49 +34,35 @@ class TraceRecorder:
     """Collects :class:`TraceEvent` records and supports filtered queries.
 
     Tracing allocates a frozen dataclass per record, which is measurable
-    in hot loops, so perf-sensitive runs can turn it down:
-
-    * ``enabled=False`` — :meth:`record` returns ``None`` immediately
-      (only ``dropped`` is counted; listeners are not invoked);
-    * ``sample_every=N`` — keep the first of every ``N`` calls and drop
-      the rest (deterministic stride, no RNG, so sampled runs replay
-      identically for a given seed).
+    in hot loops, so perf-sensitive runs can turn it off: with
+    ``enabled=False`` :meth:`record` returns ``None`` immediately (only
+    ``dropped`` is counted; listeners are not invoked).  ``capacity``
+    bounds the retained events; records past it still reach listeners.
 
     Audit-bearing experiments keep the default full recording.
     """
 
     def __init__(self, capacity: Optional[int] = None, *,
-                 enabled: bool = True, sample_every: int = 1):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+                 enabled: bool = True):
         self.capacity = capacity
         self.enabled = enabled
-        self.sample_every = sample_every
         self.events: list[TraceEvent] = []
         # Per-cause drop accounting: overhead measurements (E19) need to
-        # know whether records vanished because tracing was off, because
-        # the sampling stride skipped them, or because capacity filled.
+        # know whether records vanished because tracing was off or
+        # because capacity filled.
         self.dropped_disabled = 0
-        self.dropped_sampled = 0
         self.dropped_capacity = 0
-        self._calls = 0
         self._listeners: list[Callable[[TraceEvent], None]] = []
 
     @property
     def dropped(self) -> int:
         """Total records dropped, across every cause."""
-        return self.dropped_disabled + self.dropped_sampled + self.dropped_capacity
+        return self.dropped_disabled + self.dropped_capacity
 
     def record(self, time: float, kind: str, subject: str, **detail) -> Optional[TraceEvent]:
         if not self.enabled:
             self.dropped_disabled += 1
             return None
-        if self.sample_every != 1:
-            calls = self._calls
-            self._calls = calls + 1
-            if calls % self.sample_every:
-                self.dropped_sampled += 1
-                return None
         event = TraceEvent(time=time, kind=kind, subject=subject, detail=detail)
         if self.capacity is not None and len(self.events) >= self.capacity:
             self.dropped_capacity += 1
@@ -115,29 +101,19 @@ class TraceRecorder:
     def subjects(self) -> set:
         return {event.subject for event in self.events}
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        for event in events:
-            if self.capacity is not None and len(self.events) >= self.capacity:
-                self.dropped_capacity += 1
-            else:
-                self.events.append(event)
-
     def stats(self) -> dict:
         """Snapshot of recording volume and drop causes."""
         return {
             "events": len(self.events),
             "dropped": self.dropped,
             "dropped_disabled": self.dropped_disabled,
-            "dropped_sampled": self.dropped_sampled,
             "dropped_capacity": self.dropped_capacity,
             "enabled": self.enabled,
-            "sample_every": self.sample_every,
         }
 
     def clear(self) -> None:
         self.events.clear()
         self.dropped_disabled = 0
-        self.dropped_sampled = 0
         self.dropped_capacity = 0
 
     def export_jsonl(self, path: str, kind_prefix: str = "") -> int:

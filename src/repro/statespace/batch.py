@@ -119,10 +119,6 @@ class StateMatrix:
                 f"state variable {name!r} not declared in the matrix space"
             ) from None
 
-    def set_column(self, name: str, values) -> None:
-        col = self.column(name)
-        col[:] = values
-
     def row(self, i: int) -> dict:
         """Row ``i`` as a plain dict of native Python scalars."""
         out = {}

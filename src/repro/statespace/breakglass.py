@@ -111,9 +111,6 @@ class BreakGlassController:
             raise BreakGlassError(f"duplicate break-glass rule {rule.rule_id!r}")
         self._rules[rule.rule_id] = rule
 
-    def rules(self) -> list[BreakGlassRule]:
-        return list(self._rules.values())
-
     def request(self, device_id: str, rule_id: str, justification: str,
                 time: float) -> Optional[BreakGlassGrant]:
         """Request an emergency grant; returns it, or ``None`` when denied.

@@ -45,9 +45,6 @@ class StatePreferenceOntology:
             )
         self._rank_cache = None
 
-    def categories(self) -> list[str]:
-        return sorted(self._graph.nodes)
-
     def is_preferred(self, a: str, b: str) -> bool:
         """True when a is (transitively) preferred to b."""
         if a not in self._graph or b not in self._graph:

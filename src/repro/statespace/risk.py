@@ -49,9 +49,6 @@ class RiskEstimator:
     def __init__(self, factors: Iterable[RiskFactor] = ()):
         self.factors: list[RiskFactor] = list(factors)
 
-    def add(self, factor: RiskFactor) -> None:
-        self.factors.append(factor)
-
     def estimate(self, vector: dict, context: Optional[dict] = None) -> float:
         """Total risk in [0, 1]: weighted mean of factor scores."""
         context = context or {}

@@ -256,7 +256,7 @@ def metrics_jsonl(registry, path: str) -> int:
 
 def write_bundle(sim, dirpath: str,
                  extra_manifest: Optional[dict] = None,
-                 alerts=None, leases=None,
+                 alerts=None,
                  experiment: Optional[str] = None,
                  arm: Optional[str] = None,
                  seed=None,
@@ -268,10 +268,9 @@ def write_bundle(sim, dirpath: str,
     ``manifest.json`` tying them together with run stats.  With an
     ``alerts`` engine (:class:`~repro.telemetry.health.AlertEngine`) the
     fired/resolved alert history additionally lands in
-    ``alerts.jsonl``; with a ``leases`` authority
-    (:class:`~repro.safeguards.lease.LeaseAuthority`) or a plain list of
-    lease lifecycle events, they land in ``leases.jsonl`` (E22).
-    Returns the manifest dict.
+    ``alerts.jsonl``.  Lease lifecycle events need no file of their own:
+    they are ``lease.*`` records in ``events.jsonl``.  Returns the
+    manifest dict.
 
     The manifest is self-describing for warehouse ingest (E24): it
     always stamps ``bundle_schema`` (:data:`BUNDLE_SCHEMA`) plus the
@@ -315,16 +314,6 @@ def write_bundle(sim, dirpath: str,
         alert_counts = {"fired": len(alerts.history),
                         "active": len(alerts.active)}
 
-    lease_count = None
-    if leases is not None:
-        lease_events = leases if isinstance(leases, list) else leases.events
-        _atomic_write_text(
-            os.path.join(dirpath, "leases.jsonl"),
-            "".join(json.dumps(event, sort_keys=True, default=str) + "\n"
-                    for event in lease_events))
-        files.insert(-1, "leases.jsonl")
-        lease_count = len(lease_events)
-
     manifest = {
         "bundle_schema": BUNDLE_SCHEMA,
         "experiment": experiment,
@@ -341,8 +330,6 @@ def write_bundle(sim, dirpath: str,
     }
     if alert_counts is not None:
         manifest["alerts"] = alert_counts
-    if lease_count is not None:
-        manifest["lease_events"] = lease_count
     if extra_manifest:
         manifest.update(extra_manifest)
     _atomic_write_text(

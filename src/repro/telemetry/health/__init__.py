@@ -18,8 +18,7 @@ watcher:
 * :mod:`repro.telemetry.health.adaptive` — the closed loops:
   :class:`AdaptiveQuarantine` tunes ``OverseerLink.quarantine_after``
   from link-health alerts, :class:`CompactionController` turns
-  storage-pressure alerts into size-triggered journal compaction and
-  batched flushes;
+  storage-pressure alerts into size-triggered journal compaction;
 * :mod:`repro.telemetry.health.knobs` — :class:`KnobArbiter` (E22):
   priority-arbitrated, span-attributed composition when several closed
   loops tune the same safeguard knob.

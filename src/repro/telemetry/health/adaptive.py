@@ -16,8 +16,7 @@ gauges); these classes are the missing *tuning/trigger policies*:
   (``every(20s)``): under sustained write pressure a journal grows
   unboundedly between ticks.  This controller compacts a journal the
   tick its blob crosses a byte budget — but only while the
-  storage-pressure alert is active, so quiet fleets never pay a sweep —
-  and can batch journal flushes while pressure lasts.
+  storage-pressure alert is active, so quiet fleets never pay a sweep.
 """
 
 from __future__ import annotations
@@ -105,30 +104,22 @@ class CompactionController:
     Registered journals publish their summed blob bytes as the
     ``store.journal_bytes`` SLI.  While ``rule`` is active, any journal
     whose blob has outgrown ``compact_bytes`` is checkpointed on the
-    spot (snapshot + compact); optionally, flushes batch up while the
-    alert lasts and drain the moment it resolves — the explicit
-    durability trade under pressure, never silent.
+    spot (snapshot + compact).
     """
 
     #: SLI name under which registered journals' total bytes publish.
     SLI = "store.journal_bytes"
 
     def __init__(self, sim, engine, monitor, compact_bytes: int = 16384,
-                 rule: str = "store.pressure",
-                 flush_batch: Optional[int] = None):
+                 rule: str = "store.pressure"):
         self.sim = sim
         self.engine = engine
         self.compact_bytes = compact_bytes
         self.rule = rule
-        self.flush_batch = flush_batch
         self._components: list[tuple[str, object, object]] = []
-        self._base_flush: dict[int, int] = {}
         self._compactions = sim.metrics.counter("store.compactions_sized")
         monitor.track_value(self.SLI, self._total_bytes)
         monitor.subscribe(self._on_tick)
-        if flush_batch is not None:
-            engine.on_fire(self._on_fire)
-            engine.on_resolve(self._on_resolve)
 
     def register(self, label: str, journal, checkpoint) -> None:
         """Track ``journal`` with ``checkpoint()`` as its compaction hook
@@ -154,21 +145,3 @@ class CompactionController:
             self._compactions.inc()
             self.sim.record("store.compact", label, trigger="size",
                             bytes=size, upto=upto)
-
-    def _on_fire(self, alert) -> None:
-        if alert.rule.name != self.rule:
-            return
-        for _label, journal, _checkpoint in self._components:
-            key = id(journal)
-            if key not in self._base_flush:
-                self._base_flush[key] = journal.flush_every
-            journal.flush_every = max(self.flush_batch, journal.flush_every)
-
-    def _on_resolve(self, alert) -> None:
-        if alert.rule.name != self.rule:
-            return
-        for _label, journal, _checkpoint in self._components:
-            base = self._base_flush.pop(id(journal), None)
-            if base is not None:
-                journal.flush_every = base
-                journal.flush()

@@ -63,10 +63,6 @@ class Alert:
     resolved_at: Optional[float] = None
     trace_id: Optional[str] = None
 
-    @property
-    def active(self) -> bool:
-        return self.resolved_at is None
-
 
 class _CompiledRule:
     __slots__ = ("rule", "fire", "clear", "streak", "clear_streak")

@@ -45,9 +45,6 @@ class SpanContext:
         self.span_id = span_id
         self.parent_id = parent_id
 
-    def child_of(self) -> Optional[str]:
-        return self.parent_id
-
     def to_dict(self) -> dict:
         return {"trace_id": self.trace_id, "span_id": self.span_id,
                 "parent_id": self.parent_id}

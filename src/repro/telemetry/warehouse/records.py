@@ -152,10 +152,6 @@ class RunRecord:
 
     # -- metric access ----------------------------------------------------------
 
-    def metric(self, name: str, default=None):
-        """The metric value, or ``default`` — exact flat-name lookup."""
-        return self.metrics.get(name, default)
-
     def quick(self) -> bool:
         """Whether this run came from a reduced (CI quick-mode) protocol
         — the sentinel refuses to gate wall-clock families across a

@@ -108,8 +108,8 @@ def test_lease_abuser_replays_and_forgeries_all_die_at_the_registry():
     assert record.detail["replays_sent"] == 1
     assert record.detail["forgeries_sent"] == 2
     assert len(registry.leases()) == 1             # only the genuine grant
-    reasons = sorted(e["reason"] for e in registry.events
-                     if e["kind"] == "rejected")
+    reasons = sorted(e.detail["reason"] for e in
+                     sim.trace.query("lease.rejected", subject="registry"))
     assert reasons == ["bad-mac", "bad-mac", "replayed"]
     assert registry.active_leases() == []          # and it expired on time
     assert record.affected == {}                   # control-plane victim only

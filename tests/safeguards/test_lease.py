@@ -33,7 +33,8 @@ def test_grant_caps_duration_and_dies_at_its_expiry_tick():
     sim.run(until=6.0)
     assert lease.expired
     assert sim.metrics.value("lease.expired") == 1
-    assert [e["kind"] for e in authority.events] == ["grant", "expire"]
+    assert [e.kind for e in sim.trace.query("lease", subject=authority.name)] \
+        == ["lease.grant", "lease.expired"]
 
 
 def test_grant_requires_aggregate_reputation():
@@ -43,7 +44,7 @@ def test_grant_requires_aggregate_reputation():
     denied = authority.grant(("m0",), ("vent",), 5.0, cause="partition")
     assert denied is None
     assert sim.metrics.value("lease.denied") == 1
-    assert authority.events[0]["kind"] == "denied"
+    assert sim.trace.query("lease")[0].kind == "lease.denied"
     # A second earner pushes the group over the line (0.25 + 0.5 + ...).
     for _ in range(20):
         ledger.record("m1", "validated", 0.0)
@@ -188,8 +189,8 @@ def test_replayed_and_forged_grants_rejected_over_the_wire():
     sim.run(until=3.0)
 
     assert len(registry.leases()) == 1             # only the genuine grant
-    reasons = sorted(e["reason"] for e in registry.events
-                     if e["kind"] == "rejected")
+    reasons = sorted(e.detail["reason"] for e in
+                     sim.trace.query("lease.rejected", subject="registry"))
     assert reasons == ["bad-mac", "replayed"]
 
 
@@ -252,7 +253,42 @@ def test_recovery_force_expires_with_recovery_cause_and_continues_ids():
     recovered.recover()
     (entry,) = recovered.leases()
     assert entry.expired
-    assert [e for e in recovered.events if e["kind"] == "expire"][0][
-        "cause"] == "recovery"
+    (expired,) = restart.trace.query("lease.expired", subject="auth")
+    assert expired.detail["cause"] == "recovery"
     fresh = recovered.grant(("m0",), ("vent",), 2.0)
     assert fresh.lease_id == "auth:L2"             # counter continues
+
+
+def test_crash_volatile_then_recover_same_authority():
+    """A crash wipes the in-memory table; only the journal brings a live
+    lease back, and it still dies at its original expiry tick."""
+    storage = StableStorage()
+    sim = Simulator(seed=4)
+    authority = LeaseAuthority(sim, journal=Journal(storage, "leases"),
+                               name="auth")
+    lease = authority.grant(("m0",), ("vent",), 5.0)
+    authority.exercise(lease.lease_id)
+    sim.run(until=2.0)
+    assert authority.crash_volatile() == {"lost": 1, "kind": "leases",
+                                          "journaled": True}
+    assert authority.leases() == []
+    assert authority.lease_for("vent", "m0") is None
+    authority.recover()
+    back = authority.lease_for("vent", "m0")
+    assert back is not None and back.lease_id == lease.lease_id
+    assert back.expires_at == 5.0 and back.exercised == 1
+    sim.run(until=4.999)
+    assert authority.lease_for("vent", "m0") is back
+    sim.run(until=5.0)
+    assert back.expired and authority.lease_for("vent", "m0") is None
+
+
+def test_crash_volatile_without_journal_loses_the_lease_for_good():
+    sim, authority = make_authority(name="auth")
+    authority.grant(("m0",), ("vent",), 5.0)
+    sim.run(until=1.0)
+    assert authority.crash_volatile() == {"lost": 1, "kind": "leases",
+                                          "journaled": False}
+    assert authority.recover() == {"replayed": 0}
+    assert authority.leases() == []
+    assert authority.lease_for("vent", "m0") is None

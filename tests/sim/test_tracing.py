@@ -58,7 +58,7 @@ def test_subjects_and_clear():
     assert recorder.dropped == 0
 
 
-# -- perf modes: disabled and sampled recording -------------------------------------
+# -- perf mode: disabled recording ---------------------------------------------------
 
 
 def test_disabled_recorder_keeps_nothing_and_skips_listeners():
@@ -72,36 +72,12 @@ def test_disabled_recorder_keeps_nothing_and_skips_listeners():
     assert recorder.dropped == 1
 
 
-def test_sampled_recorder_keeps_first_of_each_stride():
-    from repro.sim.tracing import TraceRecorder
-
-    recorder = TraceRecorder(sample_every=3)
-    for index in range(7):
-        recorder.record(float(index), "tick", "s", index=index)
-    kept = [event.detail["index"] for event in recorder.events]
-    assert kept == [0, 3, 6]                     # deterministic stride, no RNG
-    assert recorder.dropped == 4
-
-
-def test_sample_every_validation():
-    import pytest
-
-    from repro.sim.tracing import TraceRecorder
-
-    with pytest.raises(ValueError):
-        TraceRecorder(sample_every=0)
-
-
 def test_simulator_trace_options_flow_through():
     from repro.sim.simulator import Simulator
 
     sim = Simulator(seed=0, trace_enabled=False)
     sim.record("x", "y")
     assert sim.trace.events == []
-    sim = Simulator(seed=0, trace_sample_every=2)
-    for _ in range(4):
-        sim.record("x", "y")
-    assert len(sim.trace.events) == 2
 
 
 # -- drop accounting: every dropped event names its cause ---------------------------
@@ -111,16 +87,8 @@ def test_drop_causes_are_counted_separately():
     disabled = TraceRecorder(enabled=False)
     disabled.record(0.0, "k", "s")
     assert disabled.dropped_disabled == 1
-    assert disabled.dropped_sampled == 0
     assert disabled.dropped_capacity == 0
     assert disabled.dropped == 1
-
-    sampled = TraceRecorder(sample_every=2)
-    for index in range(4):
-        sampled.record(float(index), "k", "s")
-    assert sampled.dropped_sampled == 2
-    assert sampled.dropped_disabled == 0
-    assert sampled.dropped == 2
 
     capped = TraceRecorder(capacity=1)
     capped.record(0.0, "k", "s")
@@ -139,17 +107,15 @@ def test_dropped_is_a_read_only_total():
 
 
 def test_stats_snapshot_breaks_out_causes():
-    recorder = TraceRecorder(capacity=1, sample_every=2)
+    recorder = TraceRecorder(capacity=1)
     for index in range(5):
         recorder.record(float(index), "k", "s")
     stats = recorder.stats()
     assert stats["events"] == 1
-    assert stats["dropped_sampled"] == 2           # indices 1 and 3
-    assert stats["dropped_capacity"] == 2          # indices 2 and 4
+    assert stats["dropped_capacity"] == 4          # indices 1 through 4
     assert stats["dropped_disabled"] == 0
     assert stats["dropped"] == 4
     assert stats["enabled"] is True
-    assert stats["sample_every"] == 2
 
 
 def test_clear_resets_every_drop_counter():

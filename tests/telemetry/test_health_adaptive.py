@@ -66,18 +66,16 @@ class TestAdaptiveQuarantine:
 
 
 class TestCompactionController:
-    def make(self, compact_bytes=600, flush_batch=None, alert_bytes=None):
-        alert_bytes = compact_bytes if alert_bytes is None else alert_bytes
+    def make(self, compact_bytes=600):
         sim, monitor, engine = make_stack(AlertRule(
             name="store.pressure",
-            condition=f"{CompactionController.SLI} > {alert_bytes}",
-            clear_condition=f"{CompactionController.SLI} < {alert_bytes // 2}"))
+            condition=f"{CompactionController.SLI} > {compact_bytes}",
+            clear_condition=f"{CompactionController.SLI} < {compact_bytes // 2}"))
         storage = StableStorage()
         journal = Journal(storage, "dev.audit")
         audit = AuditLog(journal=journal)
         controller = CompactionController(sim, engine, monitor,
-                                          compact_bytes=compact_bytes,
-                                          flush_batch=flush_batch)
+                                          compact_bytes=compact_bytes)
         controller.register("dev.audit", journal, audit.checkpoint)
         return sim, storage, journal, audit, controller
 
@@ -108,20 +106,3 @@ class TestCompactionController:
         sim.every(1.0, lambda: audit.append(sim.now, "act", "dev", {}))
         sim.run(until=10.0)
         assert sim.metrics.value("store.compactions_sized") == 0
-
-    def test_flush_batching_engages_and_drains_on_resolve(self):
-        # Alert threshold low, compaction budget unreachable: batching is
-        # the only actuation, and we control resolve via checkpoint().
-        sim, storage, journal, audit, _controller = self.make(
-            compact_bytes=10**9, flush_batch=8, alert_bytes=5_000)
-        while storage.size("dev.audit") <= 5_000:
-            audit.append(sim.now, "pad", "dev", {"pad": "x" * 128})
-        sim.run(until=3.0)
-        assert journal.flush_every == 8     # batching engaged on fire
-        audit.append(sim.now, "tail", "dev", {})
-        assert journal.unflushed > 0        # appends now buffer
-        audit.checkpoint()                  # compact below the clear line
-        assert storage.size("dev.audit") < 2_500
-        sim.run(until=8.0)
-        assert journal.flush_every == 1     # restored on resolve
-        assert journal.unflushed == 0       # buffered tail drained
