@@ -25,12 +25,14 @@ Quick mode (``F4_QUICK=1``, used by CI's perf-smoke job): 2k devices,
 2 shards, shorter horizon — the determinism assertions all still run.
 """
 
-import json
+import functools
 import os
 import time
 
 from repro.scenarios.harness import ExperimentTable
 from repro.scenarios.sharded import ShardedScenario
+
+from conftest import export_section
 
 QUICK = os.environ.get("F4_QUICK", "") not in ("", "0")
 
@@ -48,25 +50,16 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_F4.json")
 
 
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_F4.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "F4",
-        "title": "Sharded fleet execution + vectorized guard/safeness "
-                 "batch evaluation",
-        "unit": {"decisions_per_sec": "guard decisions / wall second",
-                 "events_per_sec": "simulator events / wall second"},
-        "quick": QUICK,
-        "cores": os.cpu_count(),
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+RESULTS_HEADER = {
+    "experiment": "F4",
+    "title": "Sharded fleet execution + vectorized guard/safeness "
+             "batch evaluation",
+    "unit": {"decisions_per_sec": "guard decisions / wall second",
+             "events_per_sec": "simulator events / wall second"},
+    "quick": QUICK,
+    "cores": os.cpu_count(),
+}
+_export = functools.partial(export_section, RESULTS_PATH, RESULTS_HEADER)
 
 
 def timed_run(**kwargs):

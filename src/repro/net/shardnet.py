@@ -5,21 +5,23 @@ cross-shard traffic: its latency/loss draws come from a *shared* RNG
 stream (``sim.rng.stream("net")``), so each draw depends on the global
 arrival order of every send in the process.  Re-partitioning the fleet
 reorders those draws and the byte-identical-trace guarantee dies.  The
-:class:`ShardRouter` instead derives latency and loss **statelessly** per
-message — CRC32 over ``(seed, sender, recipient, per-sender sequence
-number)``, the same ``cell_seed`` construction the sweep executor uses —
-so a message's fate is a pure function of who sent it and how many
+:class:`ShardRouter` instead derives latency **statelessly** per message
+— CRC32 over ``(seed, sender, recipient, per-sender sequence number)``,
+the same ``cell_seed`` construction the sweep executor uses — so a
+message's arrival time is a pure function of who sent it and how many
 messages that sender has sent, never of what other devices were doing.
+The router never loses a message.
 
 Delivery protocol (conservative barrier synchronization):
 
 * every send — local *or* remote — lands in an outbox, never directly in
   the event queue: local and cross-shard messages take the identical
   path, so the n_shards=1 run is byte-identical to any sharded run;
-* latency is ``window + jitter`` with ``jitter < window``, so a message
-  sent inside window ``W`` always arrives after the barrier that closes
-  ``W`` — one window of lookahead is enough and no shard can receive a
-  message for simulated time it has already executed;
+* latency is ``window + jitter`` with ``jitter < JITTER_FRAC * window``
+  and ``JITTER_FRAC < 1``, so a message sent inside window ``W`` always
+  arrives after the barrier that closes ``W`` — one window of lookahead
+  is enough and no shard can receive a message for simulated time it
+  has already executed;
 * the coordinator sorts each barrier's batch by ``(deliver_at, sender,
   seq)`` (:func:`wire_sort_key`) before injection, making injection
   order a pure function of the message *set*;
@@ -44,12 +46,16 @@ re-activated at delivery, so traces stitch across process boundaries.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import NetworkError
 from repro.net.message import BROADCAST, Message
 
 Handler = Callable[[Message], None]
+
+#: Latency jitter spans ``[0, JITTER_FRAC * window)``; it must stay below
+#: 1.0 so the one-window lookahead holds.
+JITTER_FRAC = 0.5
 
 
 def crc01(*parts) -> float:
@@ -94,34 +100,20 @@ class ShardRouter:
     """Outbox-based deterministic transport for one shard's simulator.
 
     ``window`` must equal the barrier window of the sharded run (it is
-    the delivery lookahead).  ``jitter_frac`` scales CRC-derived latency
-    jitter within ``[0, jitter_frac * window)``; it must stay below 1.0
-    so the one-window lookahead holds.
+    the delivery lookahead).
     """
 
-    #: Duck-typing marker mirrored from ReliableChannel conventions.
-    reliable = False
-
-    def __init__(self, sim, seed: int, window: float,
-                 loss_rate: float = 0.0, jitter_frac: float = 0.5):
+    def __init__(self, sim, seed: int, window: float):
         if window <= 0:
             raise NetworkError("barrier window must be positive")
-        if not 0.0 <= loss_rate <= 1.0:
-            raise NetworkError("loss_rate must be in [0, 1]")
-        if not 0.0 <= jitter_frac < 1.0:
-            raise NetworkError(
-                "jitter_frac must be in [0, 1) to preserve barrier lookahead")
         self.sim = sim
         self.seed = int(seed)
         self.window = float(window)
-        self.loss_rate = float(loss_rate)
-        self.jitter_frac = float(jitter_frac)
         self._handlers: dict[str, Handler] = {}
         self._outbox: list[WireMessage] = []
         self._seq: dict[str, int] = {}
         metrics = sim.metrics
         self._m_sent = metrics.counter("net.shard.sent")
-        self._m_dropped = metrics.counter("net.shard.dropped")
         self._m_delivered = metrics.counter("net.shard.delivered")
         self._m_unroutable = metrics.counter("net.shard.unroutable")
         self._telemetry = sim.telemetry
@@ -138,11 +130,11 @@ class ShardRouter:
     # -- sending --------------------------------------------------------------
 
     def send(self, sender: str, recipient: str, topic: str, body: dict,
-             trace=None) -> Optional[WireMessage]:
-        """Queue a message into the outbox; returns ``None`` when lost.
+             trace=None) -> WireMessage:
+        """Queue a message into the outbox and return it.
 
-        Latency and loss are CRC-derived from ``(seed, sender, recipient,
-        seq)`` — deterministic and shard-assignment-invariant.
+        Latency is CRC-derived from ``(seed, sender, recipient, seq)`` —
+        deterministic and shard-assignment-invariant.
         """
         if recipient == BROADCAST:
             raise NetworkError(
@@ -150,14 +142,8 @@ class ShardRouter:
         seq = self._seq.get(sender, 0) + 1
         self._seq[sender] = seq
         self._m_sent.inc()
-        if self.loss_rate > 0.0 and crc01(
-                self.seed, "loss", sender, recipient, seq) < self.loss_rate:
-            self._m_dropped.inc()
-            return None
-        jitter = 0.0
-        if self.jitter_frac > 0.0:
-            jitter = crc01(self.seed, "lat", sender, recipient, seq) \
-                * self.window * self.jitter_frac
+        jitter = crc01(self.seed, "lat", sender, recipient, seq) \
+            * self.window * JITTER_FRAC
         now = self.sim.now
         if trace is None:
             trace = self._telemetry.current
@@ -172,9 +158,6 @@ class ShardRouter:
         outbox = self._outbox
         self._outbox = []
         return outbox
-
-    def pending(self) -> int:
-        return len(self._outbox)
 
     # -- barrier injection ----------------------------------------------------
 

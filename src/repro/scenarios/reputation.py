@@ -59,12 +59,11 @@ from dataclasses import dataclass
 from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
 from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
-from repro.net.shardnet import ShardRouter, crc01
+from repro.net.shardnet import crc01
 from repro.safeguards.gateway import ActuationGateway
 from repro.safeguards.lease import (LEASE_GRANT_TOPIC, LEASE_REVOKE_TOPIC,
                                     LeaseAuthority)
-from repro.sim.sharding import ShardPlan, ShardResult, ShardedRun, run_sharded
-from repro.sim.simulator import Simulator
+from repro.sim.sharding import ShardHost, ShardPlan, ShardedRun, run_sharded
 from repro.trust.reputation import ReputationLedger
 
 #: Router addresses of the pinned control-plane actors.
@@ -171,21 +170,12 @@ def _make_ledger() -> ReputationLedger:
                             min_weight=0.25, full_weight_at=0.6)
 
 
-class ReputationShard:
+class ReputationShard(ShardHost):
     """One shard's device slice plus its pinned control-plane actors."""
 
-    def __init__(self, shard_index: int, n_shards: int, members: list,
+    def __init__(self, shard_index: int, members: list,
                  spec: ReputationFleetSpec):
-        spec.validate()
-        self.spec = spec
-        self.shard_index = shard_index
-        self.n_shards = n_shards
-        self.sim = Simulator(seed=spec.seed)
-        self.router = ShardRouter(self.sim, seed=spec.seed,
-                                  window=spec.window)
-        self.devices = sorted(m for m in members if m.startswith("dev-"))
-        self.global_index = {name: int(name.split("-", 1)[1])
-                             for name in self.devices}
+        super().__init__(shard_index, members, spec)
         self.rogue_name = device_name(rogue_index(spec))
         self.b_names = set(group_b_names(spec))
 
@@ -224,9 +214,7 @@ class ReputationShard:
             "partition_dropped": 0,
         }
 
-        for name in self.devices:
-            self.router.register(name, self._make_device_handler(name))
-        self.sim.every(spec.tick_interval, self._tick, label="fleet:tick")
+        self.start()
 
         # Pinned actors.
         self._warden_ledger = None
@@ -492,48 +480,32 @@ class ReputationShard:
                          "target": grantee}, tick=now)
                     self._send(OVERSEER, grantee, LEASE_REVOKE_TOPIC, body)
 
-    # -- finalize --------------------------------------------------------------------
+    # -- results ---------------------------------------------------------------------
 
-    def finalize(self) -> ShardResult:
+    def summary(self) -> dict:
         counters = dict(self.counters)
         counters["alive"] = sum(1 for name in self.devices
                                 if self.alive[name])
-        lease_kinds = {"lease.grant": 0, "lease.denied": 0,
-                       "lease.expired": 0, "lease.revoked": 0}
+        lease_counter = {"lease.grant": "lease_grants",
+                         "lease.denied": "lease_denied",
+                         "lease.expired": "lease_expirations",
+                         "lease.revoked": "lease_revocations"}
+        for key in lease_counter.values():
+            counters[key] = 0
         if self.authority is not None:
             for event in self.sim.trace.events:
-                if (event.kind in lease_kinds
+                if (event.kind in lease_counter
                         and event.subject == self.authority.name):
-                    lease_kinds[event.kind] += 1
-        counters["lease_grants"] = lease_kinds["lease.grant"]
-        counters["lease_denied"] = lease_kinds["lease.denied"]
-        counters["lease_expirations"] = lease_kinds["lease.expired"]
-        counters["lease_revocations"] = lease_kinds["lease.revoked"]
-        counters["weighted"] = self.spec.weighted
-        counters["leased"] = self.spec.leased
-        counters["partition"] = self.spec.partition
-        counters["rogue"] = self.spec.rogue
-        trace = [
-            (event.time, event.subject,
-             f"{event.time!r} {event.kind} {event.subject} "
-             f"{json.dumps(event.detail, sort_keys=True)}")
-            for event in self.sim.trace.events
-        ]
-        metrics = {
-            "net.shard.sent": self.router._m_sent.value,
-            "net.shard.delivered": self.router._m_delivered.value,
-        }
-        return ShardResult(
-            shard_index=self.shard_index, trace=trace, summary=counters,
-            audit=[], spans=[], metrics=metrics,
-            events_processed=self.sim.events_processed,
-        )
+                    counters[lease_counter[event.kind]] += 1
+        for arm in ("weighted", "leased", "partition", "rogue"):
+            counters[arm] = getattr(self.spec, arm)
+        return counters
 
 
 def build_shard(shard_index: int, n_shards: int, members: list,
                 build_args: dict) -> ReputationShard:
     """Module-level (picklable) build function for :func:`run_sharded`."""
-    return ReputationShard(shard_index, n_shards, members, build_args["spec"])
+    return ReputationShard(shard_index, members, build_args["spec"])
 
 
 class ReputationScenario:

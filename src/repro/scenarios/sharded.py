@@ -32,9 +32,10 @@ Interop carried across shard boundaries:
   the wire, so an infection chain's ``trace_id`` stitches across
   processes (the per-process tracer's counter-minted ids stay out of the
   determinism surface).
-* **E20** — per-shard barrier timing gauges
-  (:class:`~repro.sim.profiling.BarrierTiming`) publish through the
-  existing metrics/exposition stack.
+
+Each shard is a :class:`~repro.sim.sharding.ShardHost`; per-shard
+busy/barrier-wait seconds (:class:`~repro.sim.profiling.BarrierTiming`)
+ride on the returned run as ``timing``.
 
 numpy is required here (the whole point is the vectorized block
 evaluation; even the scalar twin stores fleet state in a
@@ -52,10 +53,9 @@ from typing import Optional
 from repro.crypto.envelope import CommandSigner, EnvelopeVerifier, signed_body
 from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
-from repro.net.shardnet import ShardRouter, crc01
+from repro.net.shardnet import crc01
 from repro.safeguards.batch import BatchPolicyEvaluator, BatchProgram
-from repro.sim.sharding import ShardPlan, ShardResult, ShardedRun, run_sharded
-from repro.sim.simulator import Simulator
+from repro.sim.sharding import ShardHost, ShardPlan, ShardedRun, run_sharded
 from repro.statespace.batch import StateMatrix, numpy_available
 from repro.statespace.classifier import ThresholdBand, ThresholdClassifier
 from repro.core.actions import Effect
@@ -119,6 +119,9 @@ class ShardedFleetSpec:
             raise ConfigurationError("times must be positive")
         if self.n_communities < 1:
             raise ConfigurationError("n_communities must be >= 1")
+        if self.report_every < 1 or self.spread_every < 1:
+            raise ConfigurationError(
+                "report_every and spread_every must be >= 1")
         if not 0.0 <= self.spread_prob <= 1.0:
             raise ConfigurationError("spread_prob must be in [0, 1]")
 
@@ -217,29 +220,16 @@ def forge_target_index(spec: ShardedFleetSpec, k: int) -> int:
     return int(crc01(spec.seed, "forge", k) * spec.n_devices)
 
 
-class FleetShard:
-    """One shard's slice of the fleet plus its pinned global actors.
+class FleetShard(ShardHost):
+    """One shard's slice of the fleet plus its pinned global actors."""
 
-    Exposes the ``.sim`` / ``.router`` / ``.finalize()`` surface
-    :func:`repro.sim.sharding.run_sharded` drives.
-    """
-
-    def __init__(self, shard_index: int, n_shards: int, members: list,
+    def __init__(self, shard_index: int, members: list,
                  spec: ShardedFleetSpec):
         if _np is None:
             raise ConfigurationError(
                 "numpy is required for the sharded fleet scenario")
-        spec.validate()
-        self.spec = spec
-        self.shard_index = shard_index
-        self.n_shards = n_shards
-        self.sim = Simulator(seed=spec.seed)
-        self.router = ShardRouter(self.sim, seed=spec.seed,
-                                  window=spec.window)
-        self.devices = sorted(m for m in members if m.startswith("dev-"))
+        super().__init__(shard_index, members, spec)
         self.index_of = {name: i for i, name in enumerate(self.devices)}
-        self.global_index = {name: int(name.split("-", 1)[1])
-                             for name in self.devices}
 
         self.space = fleet_space()
         self.classifier = fleet_classifier()
@@ -264,8 +254,6 @@ class FleetShard:
         # as the parent of its outgoing spread sends.  Shard-invariant by
         # construction (derived from device names, not tracer counters).
         self.infection_ctx: dict = {}
-        self.spans: list = []
-        self.audit: list = []
 
         # E21: the shared keyring is derived from the master seed, so
         # every process holds identical keys without any exchange.
@@ -280,9 +268,7 @@ class FleetShard:
         }
         self.authz_rejected: dict = {}
 
-        for name in self.devices:
-            self.router.register(name, self._make_device_handler(name))
-        self.sim.every(spec.tick_interval, self._tick, label="fleet:tick")
+        self.start()
         for index in worm_seed_indices(spec):
             name = device_name(index)
             if name in self.index_of:
@@ -382,7 +368,7 @@ class FleetShard:
         self.infection_ctx[name] = SpanContext(
             ctx.trace_id, f"{ctx.trace_id}:{name}", ctx.span_id) \
             if ctx is not None else None
-        self._trace("worm.infected", name, origin=origin)
+        self.sim.record("worm.infected", name, origin=origin)
         self._audit("worm.infected", name, {"origin": origin})
         if ctx is not None:
             self._span(name, "worm.infect", self.infection_ctx[name])
@@ -413,8 +399,9 @@ class FleetShard:
             if not ok:
                 self.authz_rejected[reason] = (
                     self.authz_rejected.get(reason, 0) + 1)
-                self._trace(f"authz.rejected.{reason}", name,
-                            issuer=body.get("_issuer"), sender=message.sender)
+                self.sim.record(f"authz.rejected.{reason}", name,
+                                issuer=body.get("_issuer"),
+                                sender=message.sender)
                 self._audit(f"authz.rejected.{reason}", name,
                             {"sender": message.sender})
                 return
@@ -426,7 +413,8 @@ class FleetShard:
         healthy = not bool(self.ever_compromised[i])
         if healthy:
             self.counters["healthy_killed"] += 1
-        self._trace("device.killed", name, by=message.sender, healthy=healthy)
+        self.sim.record("device.killed", name, by=message.sender,
+                        healthy=healthy)
         self._audit("device.killed", name,
                     {"by": message.sender, "healthy": healthy})
         if message.trace is not None:
@@ -452,7 +440,7 @@ class FleetShard:
         else:
             order = dict(payload)
         ctx = SpanContext(f"kill:{target}", f"kill:{target}:order", None)
-        self._trace("watchdog.order", target, temp=body.get("temp"))
+        self.sim.record("watchdog.order", target, temp=body.get("temp"))
         self._audit("watchdog.order", target, {"temp": body.get("temp")})
         self.router.send(WATCHDOG, target, "cmd.kill", order, trace=ctx)
 
@@ -466,14 +454,11 @@ class FleetShard:
         else:
             body = dict(payload)
         self.counters["forged_orders"] += 1
-        self._trace("forgery.sent", target, k=k)
+        self.sim.record("forgery.sent", target, k=k)
         ctx = SpanContext(f"forge:{k}", f"forge:{k}:send", None)
         self.router.send(FORGER, target, "cmd.kill", body, trace=ctx)
 
     # -- recording -------------------------------------------------------------
-
-    def _trace(self, kind: str, subject: str, **detail) -> None:
-        self.sim.record(kind, subject, **detail)
 
     def _audit(self, kind: str, subject: str, detail: dict) -> None:
         self.audit.append(
@@ -487,51 +472,31 @@ class FleetShard:
             "parent_id": ctx.parent_id,
         })
 
-    # -- finalize ---------------------------------------------------------------
+    # -- results ---------------------------------------------------------------
 
-    def finalize(self) -> ShardResult:
-        alive = self.matrix.columns["alive"]
+    def summary(self) -> dict:
         stats = self.evaluator.stats()
-        summary = {
+        return {
             "devices": len(self.devices),
-            "alive": int(alive.sum()),
-            "infected": self.counters["infected"],
-            "killed": self.counters["killed"],
-            "healthy_killed": self.counters["healthy_killed"],
-            "harm_strikes": self.counters["harm_strikes"],
-            "vetoes": self.counters["vetoes"],
-            "reports": self.counters["reports"],
-            "kill_orders": self.counters["kill_orders"],
-            "forged_orders": self.counters["forged_orders"],
+            "alive": int(self.matrix.columns["alive"].sum()),
+            **self.counters,
             "authz_rejected": dict(self.authz_rejected),
             "decisions": stats["decisions"],
             "fallback_reasons": dict(stats["fallback_reasons"]),
             "signed_commands": self.spec.signed_commands,
             "vectorized": self.spec.vectorized,
         }
-        trace = [
-            (event.time, event.subject,
-             f"{event.time!r} {event.kind} {event.subject} "
-             f"{json.dumps(event.detail, sort_keys=True)}")
-            for event in self.sim.trace.events
-        ]
-        metrics = {
-            "net.shard.sent": self.router._m_sent.value,
-            "net.shard.delivered": self.router._m_delivered.value,
-            "vector_evals": stats["vector_evals"],
-            "scalar_evals": stats["scalar_evals"],
-        }
-        return ShardResult(
-            shard_index=self.shard_index, trace=trace, summary=summary,
-            audit=list(self.audit), spans=list(self.spans), metrics=metrics,
-            events_processed=self.sim.events_processed,
-        )
+
+    def metrics(self) -> dict:
+        stats = self.evaluator.stats()
+        return {"vector_evals": stats["vector_evals"],
+                "scalar_evals": stats["scalar_evals"]}
 
 
 def build_shard(shard_index: int, n_shards: int, members: list,
                 build_args: dict) -> FleetShard:
     """Module-level (picklable) build function for :func:`run_sharded`."""
-    return FleetShard(shard_index, n_shards, members, build_args["spec"])
+    return FleetShard(shard_index, members, build_args["spec"])
 
 
 class ShardedScenario:

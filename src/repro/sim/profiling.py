@@ -122,10 +122,8 @@ class BarrierTiming:
     then waits for the slowest shard plus the message exchange (*barrier*
     time).  This accumulates both per shard, so imbalance — one shard
     carrying a hot community while the rest idle at the barrier — is a
-    number, not a guess.  :meth:`publish` pushes the totals into a
-    :class:`~repro.sim.metrics.MetricsRegistry` as gauges, from where the
-    E20 health stack and the Prometheus/JSONL exposition already pick
-    gauges up.
+    number, not a guess.  A :class:`~repro.sim.sharding.ShardedRun`
+    carries it as ``timing``.
     """
 
     __slots__ = ("n_shards", "busy_sec", "barrier_sec", "windows")
@@ -153,50 +151,12 @@ class BarrierTiming:
             self.busy_sec[index] += busy
             self.barrier_sec[index] += max(0.0, window_wall - busy)
 
-    def barrier_frac(self, shard: int) -> float:
-        """Fraction of shard time spent at the barrier (0 = never waits)."""
-        total = self.busy_sec[shard] + self.barrier_sec[shard]
-        if total <= 0.0:
-            return 0.0
-        return self.barrier_sec[shard] / total
-
     def imbalance(self) -> float:
         """Max busy over mean busy (1.0 = perfectly balanced shards)."""
-        if not self.busy_sec:
-            return 1.0
         mean = sum(self.busy_sec) / len(self.busy_sec)
         if mean <= 0.0:
             return 1.0
         return max(self.busy_sec) / mean
-
-    def publish(self, registry, prefix: str = "shard") -> None:
-        """Set ``<prefix>.<i>.busy_sec`` / ``.barrier_sec`` /
-        ``.barrier_frac`` gauges plus ``<prefix>.imbalance``."""
-        for index in range(self.n_shards):
-            registry.gauge(f"{prefix}.{index}.busy_sec").set(
-                self.busy_sec[index])
-            registry.gauge(f"{prefix}.{index}.barrier_sec").set(
-                self.barrier_sec[index])
-            registry.gauge(f"{prefix}.{index}.barrier_frac").set(
-                self.barrier_frac(index))
-        registry.gauge(f"{prefix}.imbalance").set(self.imbalance())
-        registry.gauge(f"{prefix}.windows").set(self.windows)
-
-    def report(self) -> dict:
-        """A plain-dict summary (what benchmarks export to JSON)."""
-        return {
-            "windows": self.windows,
-            "imbalance": self.imbalance(),
-            "shards": [
-                {
-                    "shard": index,
-                    "busy_sec": self.busy_sec[index],
-                    "barrier_sec": self.barrier_sec[index],
-                    "barrier_frac": self.barrier_frac(index),
-                }
-                for index in range(self.n_shards)
-            ],
-        }
 
 
 @contextmanager

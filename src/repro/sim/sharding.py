@@ -13,16 +13,17 @@ What makes that hold (each point is load-bearing):
 
 * **Shard assignment is deterministic** — :func:`partition_graph` grows
   shards by breadth-first search from evenly spaced seeds over the
-  sorted member list (communities stay together), and
-  :func:`partition_crc` offers the ``cell_seed``-style hashed
-  assignment; both are pure functions of ``(members, edges, n_shards)``.
+  sorted member list (communities stay together); it is a pure function
+  of ``(members, edges, n_shards)``.  :func:`partition_crc`, the
+  ``cell_seed``-style hashed assignment, is kept only as the baseline
+  the graph partitioner is measured against.
 * **Per-device behaviour is assignment-invariant** — every shard
   simulator is built from the *same* master seed, and
   :class:`~repro.sim.rng.SeededRNG` derives substreams by hashing
   ``seed:name``, so ``rng.stream("device/<id>")`` yields the same
   sequence no matter which process hosts the device.  Message latency
-  and loss are CRC-hashed per message
-  (:mod:`repro.net.shardnet`), never drawn from a shared stream.
+  is CRC-hashed per message (:mod:`repro.net.shardnet`), never drawn
+  from a shared stream.
 * **Message exchange is submission-order merged** — each barrier batch
   is sorted by ``(deliver_at, sender, per-sender seq)``, a pure function
   of the message set, and injected in that order at a dedicated event
@@ -31,16 +32,19 @@ What makes that hold (each point is load-bearing):
   ``(time, subject)``; each subject lives entirely in one shard, so the
   per-subject record order is the shard's own generation order.
 
-The worker side (:func:`shard_worker`) keeps a live shard across windows
-in a forked process and speaks a tiny pipe protocol: ``run`` a window,
-return the outbox; ``finalize``, return a :class:`ShardResult`.  The
-in-process mode runs the identical code path shard-by-shard and is the
-reference "serial" execution.
+Each shard is a :class:`ShardHost` subclass returned by the scenario's
+module-level ``build_fn(shard_index, n_shards, members, build_args)``.
+The worker side (:func:`shard_worker`) builds one in a forked process,
+keeps it live across windows and speaks a tiny pipe protocol: ``run`` a
+window, return the outbox; ``finalize``, return a :class:`ShardResult`.
+The in-process mode runs the identical code path shard-by-shard and is
+the reference "serial" execution.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import multiprocessing
 import zlib
@@ -50,12 +54,13 @@ from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.net.shardnet import wire_sort_key
+from repro.net.shardnet import ShardRouter, wire_sort_key
 from repro.sim.profiling import BarrierTiming
+from repro.sim.simulator import Simulator
 
-#: ``build_fn(shard_index, n_shards, members, build_args)`` returns a
-#: runtime object exposing ``.sim``, ``.router`` and ``.finalize()``.
-BuildFn = Callable[[int, int, list, dict], object]
+#: ``build_fn(shard_index, n_shards, members, build_args)`` returns the
+#: shard's :class:`ShardHost`.
+BuildFn = Callable[[int, int, list, dict], "ShardHost"]
 
 
 # ---------------------------------------------------------------------------
@@ -154,30 +159,24 @@ class ShardPlan:
 
     n_shards: int
     assignment: dict
-    strategy: str = "graph"
 
     @staticmethod
-    def build(members, n_shards: int, edges=(), pins: Optional[dict] = None,
-              strategy: str = "graph", salt=0) -> "ShardPlan":
-        """Partition ``members`` (graph BFS or CRC hash), then apply pins.
+    def build(members, n_shards: int, edges=(),
+              pins: Optional[dict] = None) -> "ShardPlan":
+        """Partition ``members`` along ``edges`` (:func:`partition_graph`),
+        then apply pins.
 
         ``pins`` maps members (e.g. a fleet-global watchdog) to fixed
         shard indices — pinned members join the plan without affecting
         the balance of the partitioned fleet.
         """
-        if strategy == "graph":
-            assignment = partition_graph(members, edges, n_shards)
-        elif strategy == "crc":
-            assignment = partition_crc(members, n_shards, salt=salt)
-        else:
-            raise ConfigurationError(f"unknown partition strategy {strategy!r}")
+        assignment = partition_graph(members, edges, n_shards)
         for member, shard in (pins or {}).items():
             if not 0 <= shard < n_shards:
                 raise ConfigurationError(
                     f"pin for {member!r} outside [0, {n_shards})")
             assignment[member] = shard
-        return ShardPlan(n_shards=n_shards, assignment=dict(assignment),
-                         strategy=strategy)
+        return ShardPlan(n_shards=n_shards, assignment=assignment)
 
     def members_of(self, shard: int) -> list:
         return sorted(m for m, s in self.assignment.items() if s == shard)
@@ -328,16 +327,56 @@ def route_batches(outboxes, assignment: dict, n_shards: int):
 # ---------------------------------------------------------------------------
 
 
-class ShardHost:
-    """One live shard: a built runtime plus the window-step protocol."""
+def trace_line(event) -> str:
+    """The canonical rendering of one trace record:
+    ``repr(time) kind subject detail-json`` (detail keys sorted)."""
+    return (f"{event.time!r} {event.kind} {event.subject} "
+            f"{json.dumps(event.detail, sort_keys=True)}")
 
-    def __init__(self, build_fn: BuildFn, build_args: dict, shard_index: int,
-                 n_shards: int, members: list):
+
+class ShardHost:
+    """One live shard of a sharded fleet: the base every fleet shard
+    subclasses, plus the window-step protocol the coordinator drives.
+
+    The base owns the shard's :class:`~repro.sim.simulator.Simulator`
+    and :class:`~repro.net.shardnet.ShardRouter` (both built from the
+    fleet ``spec``'s ``seed`` and ``window``), the sorted ``dev-*``
+    members with their global indices, the shard's ``audit`` and
+    ``spans`` rows, and the canonical trace rendering at
+    :meth:`finalize`.  A subclass supplies:
+
+    * ``_tick()`` — the per-tick fleet step;
+    * ``_make_device_handler(name)`` — the router handler of one device;
+    * ``summary()`` — the shard's summary dict (merged across shards);
+    * optionally ``metrics()`` — extra observational counters.
+
+    It calls :meth:`start` once, at the point in its construction where
+    device handlers and the fleet tick belong.  ``start`` schedules the
+    tick, so where it runs fixes the tick's event-queue insertion order
+    relative to the subclass's other initial events — moving it changes
+    same-time ordering and with it every trace digest.
+    """
+
+    def __init__(self, shard_index: int, members: list, spec) -> None:
+        spec.validate()
+        self.spec = spec
         self.shard_index = shard_index
-        self.runtime = build_fn(shard_index, n_shards, list(members),
-                                build_args)
-        self.sim = self.runtime.sim
-        self.router = self.runtime.router
+        self.sim = Simulator(seed=spec.seed)
+        self.router = ShardRouter(self.sim, seed=spec.seed, window=spec.window)
+        self.devices = sorted(m for m in members if m.startswith("dev-"))
+        self.global_index = {name: int(name.split("-", 1)[1])
+                             for name in self.devices}
+        self.audit: list = []
+        self.spans: list = []
+
+    def start(self) -> None:
+        """Register every device's handler and start the fleet tick."""
+        for name in self.devices:
+            self.router.register(name, self._make_device_handler(name))
+        self.sim.every(self.spec.tick_interval, self._tick, label="fleet:tick")
+
+    def metrics(self) -> dict:
+        return {}
 
     def run_window(self, barrier: float, inbound) -> tuple:
         """Inject the barrier batch, run to the barrier; returns
@@ -349,14 +388,23 @@ class ShardHost:
         return self.router.drain_outbox(), busy
 
     def finalize(self) -> ShardResult:
-        return self.runtime.finalize()
+        trace = [(event.time, event.subject, trace_line(event))
+                 for event in self.sim.trace.events]
+        metrics = {name: self.sim.metrics.value(name)
+                   for name in ("net.shard.sent", "net.shard.delivered")}
+        metrics.update(self.metrics())
+        return ShardResult(
+            shard_index=self.shard_index, trace=trace, summary=self.summary(),
+            audit=list(self.audit), spans=list(self.spans), metrics=metrics,
+            events_processed=self.sim.events_processed,
+        )
 
 
 def shard_worker(conn, build_fn: BuildFn, build_args: dict, shard_index: int,
                  n_shards: int, members: list) -> None:
     """Worker-process loop: build once, step windows over the pipe."""
     try:
-        host = ShardHost(build_fn, build_args, shard_index, n_shards, members)
+        host = build_fn(shard_index, n_shards, members, build_args)
         conn.send(("ready", shard_index))
         while True:
             command, payload = conn.recv()
@@ -493,8 +541,7 @@ def run_sharded(build_fn: BuildFn, build_args: dict, plan: ShardPlan,
                 parent.close()
         mode = "processes"
     else:
-        hosts = [ShardHost(build_fn, build_args, shard, n_shards,
-                           members_by_shard[shard])
+        hosts = [build_fn(shard, n_shards, members_by_shard[shard], build_args)
                  for shard in range(n_shards)]
         for barrier in barriers:
             window_started = perf_counter()
