@@ -93,6 +93,8 @@ class AuditLog:
         self._journal = journal
         self._crashed = False
         self._lost_at_crash = 0
+        # Entries the journal's snapshot segments already hold (a prefix).
+        self._covered = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -176,13 +178,23 @@ class AuditLog:
     # -- durability ------------------------------------------------------------
 
     def checkpoint(self) -> Optional[int]:
-        """Snapshot the full chain into the journal's snapshot blob and
-        compact the journal.  No-op without a journal, and while crashed
-        (a checkpoint of wiped memory would compact real history away)."""
+        """Append the entries since the previous checkpoint to the
+        journal's snapshot segments and compact the journal, so each
+        checkpoint encodes only what was appended since the last one (the
+        whole chain, when storage damage reached the snapshot blob — see
+        :meth:`Journal.snapshot`).  No-op without a journal, and while
+        crashed (a checkpoint of wiped memory would compact real history
+        away)."""
         if self._journal is None or self._crashed:
             return None
-        return self._journal.snapshot(
-            {"entries": [entry.to_payload() for entry in self._entries]})
+        upto = self._journal.snapshot(self._chain_state(self._covered),
+                                      history=lambda: self._chain_state(0))
+        self._covered = len(self._entries)
+        return upto
+
+    def _chain_state(self, start: int) -> dict:
+        return {"entries": [entry.to_payload()
+                            for entry in self._entries[start:]]}
 
     def durable_entries(self) -> int:
         """Entries a crash right now provably could not erase."""
@@ -204,8 +216,8 @@ class AuditLog:
     def recover(self) -> dict:
         """Rebuild the chain from stable storage after a crash.
 
-        Replays the snapshot (if any) plus the journal's trustworthy
-        tail, re-verifies the recovered chain (a tampered journal —
+        Replays the snapshot segments in order (if any) plus the journal's
+        trustworthy tail, re-verifies the recovered chain (a tampered journal —
         edited payload with a recomputed CRC — still breaks the hash
         chain and raises :class:`AuditError`), and appends an explicit
         ``audit.gap`` entry when the recovered chain is shorter than the
@@ -215,11 +227,12 @@ class AuditLog:
         recovered: list[AuditEntry] = []
         torn = False
         if self._journal is not None:
-            snapshot, records, report = self._journal.recover()
+            segments, records, report = self._journal.recover()
             torn = report.truncated or report.corrupt_frame
-            if snapshot is not None:
-                for payload in snapshot.get("state", {}).get("entries", []):
+            for segment in segments:
+                for payload in segment.get("state", {}).get("entries", []):
                     recovered.append(AuditEntry.from_payload(payload))
+            self._covered = len(recovered)
             for record in records:
                 recovered.append(AuditEntry.from_payload(record.payload))
         replayed = len(recovered)

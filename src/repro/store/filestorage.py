@@ -13,10 +13,13 @@ Write semantics mirror what the journal expects from flash:
 
 * :meth:`append` is an ``O_APPEND``-mode write followed by a flush —
   the frame either lands whole or lands torn, and a torn tail is the
-  journal's problem to detect (its CRC framing exists for this);
-* :meth:`write` (snapshot/compaction replacement) goes through a
-  temp file + ``os.replace`` so a crash mid-compaction leaves the
-  previous blob intact, never a half-written one;
+  journal's problem to detect (its CRC framing exists for this).  That
+  covers snapshot segments too: a crash mid-segment leaves the ``.snap``
+  blob ending in a torn frame, which the next open cuts away while
+  keeping the segments before it;
+* :meth:`write` (journal compaction, and the rewrite of a damaged
+  snapshot blob) goes through a temp file + ``os.replace`` so a crash
+  mid-write leaves the previous blob intact, never a half-written one;
 * blob names map to file names directly, so they must be simple
   (no path separators, no traversal).
 """

@@ -16,11 +16,19 @@ damaged tail can never poison a later append.  The CRC catches
 *accidental* damage; deliberate tampering with a recomputed CRC is the
 hash chain's job (:meth:`repro.audit.log.AuditLog.recover` re-verifies).
 
-A journal can pair with a snapshot blob (``<name>.snap``): `
-:meth:`snapshot` persists a full state dict stamped with the sequence
-number it covers and compacts the journal down to the frames after it,
-so recovery is one snapshot load plus a short tail replay instead of a
-full-history walk.
+A journal can pair with a snapshot blob (``<name>.snap``) of
+append-only *segments*: each :meth:`snapshot` appends one frame holding
+the state its owner accumulated since the previous segment, stamped with
+the sequence number it covers, and compacts the journal down to the
+frames after it.  A checkpoint therefore encodes and writes only what
+changed since the last one; what it still reads whole is the blob
+itself, one CRC32 pass to confirm nothing damaged it (see
+:meth:`snapshot`).  Recovery is the segments in order plus a short tail
+replay instead of a full-history walk.  The segments are trusted
+all-or-nothing: one damaged frame discards the whole blob.  The one
+exception is a cold open over a blob whose *last* frame is torn — a
+crash in the middle of a segment append — where that frame is cut away
+and the segments before it are kept (see :meth:`recover`).
 
 Durability is per-append by default (``flush_every=1``).  A larger
 ``flush_every`` batches frames in volatile memory — faster, but a crash
@@ -35,7 +43,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import StorageError
 from repro.store.stable import StableStorage
@@ -55,6 +63,34 @@ def _encode(payload: dict) -> bytes:
 def _frame(payload: dict) -> bytes:
     body = _encode(payload)
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+def _decode_frames(blob: bytes, limit: Optional[int] = None,
+                   ) -> tuple[Optional[list[dict]], int]:
+    """(payloads, end of the last whole frame) for the first ``limit``
+    frames (default: all).
+
+    A final frame running past the end of ``blob`` (a torn write) stops
+    the walk short of ``len(blob)``; payloads is ``None`` when a whole
+    frame fails its CRC or fails to decode."""
+    payloads: list[dict] = []
+    offset = 0
+    while offset < len(blob) and (limit is None or len(payloads) < limit):
+        start = offset + _HEADER.size
+        if start > len(blob):
+            break                                   # torn mid-header
+        length, crc = _HEADER.unpack_from(blob, offset)
+        if start + length > len(blob):
+            break                                   # torn mid-payload
+        body = blob[start:start + length]
+        if zlib.crc32(body) != crc:
+            return None, offset
+        try:
+            payloads.append(json.loads(body.decode("utf-8")))
+        except ValueError:
+            return None, offset
+        offset = start + length
+    return payloads, offset
 
 
 @dataclass(frozen=True)
@@ -104,11 +140,16 @@ class Journal:
         # so storage damage can never make later appends replay as a
         # bogus suffix of history — see :meth:`recover`.
         self._blob_first_seq: Optional[int] = None
+        # ``(length, crc32)`` of the snapshot blob as this journal last
+        # wrote or recovered it: any other content is storage damage.
+        # ``None`` only while a cold open is still learning it.
+        self._snap_mark: Optional[tuple[int, int]] = None
         # Resuming over an existing blob continues its sequence.
         if storage.exists(name) or storage.exists(name + SNAPSHOT_SUFFIX):
             self.recover()
         else:
             self._blob_first_seq = 1
+            self._snap_mark = (0, 0)
 
     # -- writing ---------------------------------------------------------------
 
@@ -159,16 +200,40 @@ class Journal:
 
     # -- snapshots -------------------------------------------------------------
 
-    def snapshot(self, state: dict, seq: Optional[int] = None) -> int:
-        """Persist ``state`` as of ``seq`` (default: last appended) and
-        compact the journal to the frames after it."""
+    def snapshot(self, state: dict, seq: Optional[int] = None,
+                 history: Optional[Callable[[], dict]] = None) -> int:
+        """Append ``state`` as one segment covering up to ``seq`` (default:
+        last appended) and compact the journal to the frames after it.
+
+        ``state`` holds what changed since the previous segment; recovery
+        hands back every segment in order.  If storage damage reached the
+        snapshot blob since this journal last wrote or recovered it,
+        appending would carry the damage forward and a later recovery
+        would discard the whole blob.  This call then rewrites the blob
+        with one segment holding ``history()`` — the owner's full state —
+        instead (``state`` itself when no ``history`` is given).  Finding
+        that out costs one CRC32 pass over the blob, so a snapshot is
+        linear in the blob's size, not in the state encoded."""
         self.flush()
-        upto = self._next_seq - 1 if seq is None else seq
-        self.storage.write(self.name + SNAPSHOT_SUFFIX,
-                           _frame({"seq": upto, "state": state}))
-        keep = [record
-                for record in self._scan(self._blob_first_seq)[0]
-                if record.seq > upto]
+        last = self._next_seq - 1
+        upto = last if seq is None else seq
+        name = self.name + SNAPSHOT_SUFFIX
+        if self._snap_intact():
+            frame = _frame({"seq": upto, "state": state})
+            self.storage.append(name, frame)
+            length, crc = self._snap_mark
+            self._snap_mark = (length + len(frame), zlib.crc32(frame, crc))
+        else:
+            frame = _frame({"seq": upto,
+                            "state": state if history is None else history()})
+            self.storage.write(name, frame)
+            self._snap_mark = (len(frame), zlib.crc32(frame))
+        if upto >= last:
+            keep: list[JournalRecord] = []      # nothing after ``upto``
+        else:
+            keep = [record
+                    for record in self._scan(self._blob_first_seq)[0]
+                    if record.seq > upto]
         self.storage.write(self.name,
                            b"".join(_frame({"seq": record.seq, **record.payload})
                                     for record in keep))
@@ -176,6 +241,14 @@ class Journal:
         self.snapshot_seq = upto
         self._blob_first_seq = keep[0].seq if keep else self._next_seq
         return upto
+
+    def _snap_intact(self) -> bool:
+        """Whether the snapshot blob still holds exactly the segments this
+        journal wrote or recovered."""
+        name = self.name + SNAPSHOT_SUFFIX
+        length, crc = self._snap_mark
+        return (self.storage.size(name) == length
+                and zlib.crc32(self.storage.read(name)) == crc)
 
     @property
     def durable_records(self) -> int:
@@ -234,29 +307,55 @@ class Journal:
         report.records = len(records)
         return records, report
 
-    def _read_snapshot(self) -> Optional[dict]:
-        """The snapshot payload, or ``None`` when absent or damaged.
+    def _read_segments(self) -> list[dict]:
+        """Every snapshot segment payload, oldest first.
 
-        A damaged snapshot is discarded (recovery falls back to the full
-        journal walk) rather than trusted.
+        The segments are trusted all-or-nothing: when any frame fails its
+        CRC or fails to decode, or is torn — or, for a journal that knows
+        what it wrote, the blob differs from that at all — the whole blob
+        is discarded (recovery falls back to the journal walk), never
+        trusted in part.
+
+        A cold open is the exception for a torn *last* frame: a crash in
+        the middle of :meth:`snapshot`'s append.  The journal is compacted
+        only after that append returns, so the torn segment's records are
+        all still in the journal, starting right after the segments before
+        it.  Unless the journal's first frame says otherwise, the torn
+        frame is cut away and the earlier segments are kept.
         """
         name = self.name + SNAPSHOT_SUFFIX
         blob = self.storage.read(name)
-        if len(blob) < _HEADER.size:
-            return None
-        length, crc = _HEADER.unpack_from(blob, 0)
-        body = blob[_HEADER.size:_HEADER.size + length]
-        if len(body) != length or zlib.crc32(body) != crc:
+        mark = (len(blob), zlib.crc32(blob))
+        segments, end = (_decode_frames(blob)
+                         if self._snap_mark in (None, mark) else (None, 0))
+        if end < len(blob) and not (segments and self._snap_mark is None
+                                    and self._resumes_after(segments)):
+            segments = None
+        if not segments:
             self.storage.delete(name)
-            return None
-        try:
-            return json.loads(body.decode("utf-8"))
-        except ValueError:
-            self.storage.delete(name)
-            return None
+            segments, mark = [], (0, 0)
+        elif end < len(blob):
+            self.storage.truncate(name, end)
+            mark = (end, zlib.crc32(blob[:end]))
+        self._snap_mark = mark
+        return segments
 
-    def recover(self) -> tuple[Optional[dict], list[JournalRecord], ReplayReport]:
-        """(snapshot payload or None, post-snapshot records, report).
+    def _resumes_after(self, segments: list[dict]) -> bool:
+        """Whether the journal blob does not contradict ``segments``: it
+        is empty, or its first frame is damaged, or that frame carries the
+        sequence number right after the last segment's."""
+        first, _end = _decode_frames(self.storage.read(self.name), limit=1)
+        return not first or first[0].get("seq") == segments[-1]["seq"] + 1
+
+    def recover(self) -> tuple[list[dict], list[JournalRecord], ReplayReport]:
+        """(snapshot segments, post-snapshot records, report).
+
+        Each segment is one ``{"seq": upto, "state": ...}`` payload as
+        :meth:`snapshot` wrote it, oldest first; the owner folds their
+        states together.  An empty list means no snapshot — none was
+        taken, or the blob was damaged and discarded whole.  A cold open
+        keeps the segments in front of a torn last one, whose records the
+        journal still holds (see :meth:`_read_segments`).
 
         Also realigns the journal's own accounting with the recovered
         reality — the next sequence number continues from the last
@@ -274,8 +373,8 @@ class Journal:
         the gap *visible* to the consumer instead of silently
         resequenced.
         """
-        snapshot = self._read_snapshot()
-        snap_seq = int(snapshot.get("seq", 0)) if snapshot is not None else None
+        segments = self._read_segments()
+        snap_seq = int(segments[-1].get("seq", 0)) if segments else None
         expected_first = self._blob_first_seq
         if expected_first is None and snap_seq is not None:
             expected_first = snap_seq + 1
@@ -288,7 +387,7 @@ class Journal:
         self._flushed_records = len(records)
         self._next_seq = (records[-1].seq if records else (snap_seq or 0)) + 1
         self._blob_first_seq = (records[0].seq if records else self._next_seq)
-        return snapshot, records, report
+        return segments, records, report
 
     def replay(self) -> list[JournalRecord]:
         """Just the trustworthy post-snapshot records, oldest first."""

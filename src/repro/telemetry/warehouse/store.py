@@ -6,8 +6,8 @@ RunRecord` rows through the CRC-framed write-ahead
 :class:`~repro.store.filestorage.FileStorage` directory — so the
 longitudinal record inherits every durability property the device
 journals already proved: torn ingests truncate away on the next open,
-bit rot stops replay at the last good frame, and snapshot compaction
-keeps reopen cost bounded as history grows.
+bit rot stops replay at the last good frame, and segmented snapshot
+compaction keeps reopen cost bounded as history grows.
 
 Ingest is **idempotent by content**: each record's digest is indexed,
 and appending an already-known digest is a no-op (returns ``False``).
@@ -29,8 +29,9 @@ from repro.telemetry.warehouse.records import RunRecord
 JOURNAL_NAME = "warehouse"
 
 #: Compact (snapshot + truncate the journal) once this many records sit
-#: in the post-snapshot tail.  Reopen cost stays one snapshot load plus
-#: a short replay no matter how long the history grows.
+#: in the post-snapshot tail.  Reopen cost stays one pass over the
+#: snapshot segments plus a short replay no matter how long the history
+#: grows.
 DEFAULT_COMPACT_EVERY = 512
 
 
@@ -46,18 +47,21 @@ class Warehouse:
         self.compact_every = compact_every
         self._records: list = []
         self._digests: set = set()
+        # Records the journal's snapshot segments already hold (a prefix).
+        self._compacted = 0
         self.recovery: Optional[ReplayReport] = None
         self._load()
 
     def _load(self) -> None:
-        """Rebuild the in-memory index: snapshot rows + journal tail."""
-        snapshot, tail, report = self.journal.recover()
+        """Rebuild the in-memory index: snapshot segments + journal tail."""
+        segments, tail, report = self.journal.recover()
         self.recovery = report
         self._records = []
         self._digests = set()
-        if snapshot is not None:
-            for payload in snapshot.get("state", {}).get("records", []):
+        for segment in segments:
+            for payload in segment.get("state", {}).get("records", []):
                 self._admit(RunRecord.from_payload(payload))
+        self._compacted = len(self._records)
         for journal_record in tail:
             payload = journal_record.payload.get("record")
             if payload is not None:
@@ -92,10 +96,18 @@ class Warehouse:
         return self.journal.flush()
 
     def compact(self) -> int:
-        """Fold the whole history into the snapshot blob and truncate
-        the journal; returns the sequence number the snapshot covers."""
-        return self.journal.snapshot(
-            {"records": [record.to_payload() for record in self._records]})
+        """Append the records since the previous compaction to the
+        snapshot segments (the whole history, when storage damage reached
+        the snapshot blob) and truncate the journal; returns the sequence
+        number the snapshot covers."""
+        upto = self.journal.snapshot(self._history(self._compacted),
+                                     history=lambda: self._history(0))
+        self._compacted = len(self._records)
+        return upto
+
+    def _history(self, start: int) -> dict:
+        return {"records": [record.to_payload()
+                            for record in self._records[start:]]}
 
     # -- reading ----------------------------------------------------------------
 

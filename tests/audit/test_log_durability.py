@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from repro.audit.log import GAP_KIND, AuditLog
+from repro.audit.log import GAP_KIND, AuditEntry, AuditLog
 from repro.errors import AuditError
 from repro.store import Journal, StableStorage
 
@@ -151,3 +151,70 @@ def test_durable_entries_tracks_flush_state():
     log.append(1.0, "b", "d0")
     assert log.durable_entries() == 2                  # auto-flush hit
     assert AuditLog().durable_entries() == 0
+
+
+# -- segmented checkpoints --------------------------------------------------------
+
+
+def test_checkpoints_encode_each_entry_once(monkeypatch):
+    """K checkpoints over N entries encode N entries in total — each
+    checkpoint only what was appended since the previous one — not the
+    whole chain every time (about N*K/2)."""
+    storage, log = journaled_log()
+    encoded = 0
+    to_payload = AuditEntry.to_payload
+
+    def counting(entry):
+        nonlocal encoded
+        encoded += 1
+        return to_payload(entry)
+
+    monkeypatch.setattr(AuditEntry, "to_payload", counting)
+    checkpoint_encodes = 0
+    for batch in range(8):
+        for n in range(5):
+            log.append(float(batch), "decision", "d0", {"n": n})
+        before = encoded
+        log.checkpoint()
+        checkpoint_encodes += encoded - before
+    assert checkpoint_encodes == len(log) == 40
+
+
+def test_multi_segment_checkpoints_recover_the_exact_chain():
+    storage, log = journaled_log()
+    for batch in range(3):
+        for n in range(4):
+            log.append(float(batch * 4 + n), "decision", "d0", {"n": n})
+        log.checkpoint()
+    log.append(12.0, "decision", "d0")                 # post-snapshot tail
+    before = log.entries()
+    accounting, recovery = crash_and_recover(log)
+    assert accounting["lost"] == 0
+    assert recovery == {"replayed": 13, "lost": 0, "gap": False}
+    assert log.entries() == before                     # entry for entry
+    assert log.verify()
+
+
+def test_checkpoint_after_snapshot_damage_heals_the_blob():
+    """Damage to the snapshot blob between two checkpoints must not be
+    carried forward: the next checkpoint rewrites the whole chain, so a
+    later crash still recovers everything."""
+    storage, log = journaled_log()
+    for time in range(4):
+        log.append(float(time), "decision", "d0")
+    log.checkpoint()
+    storage.corrupt_tail("d0.audit.snap", flip_bit=9)
+    for time in range(4, 6):
+        log.append(float(time), "decision", "d0")
+    log.checkpoint()
+    # The blob is intact again: one segment, the whole chain.
+    blob = storage.read("d0.audit.snap")
+    length, crc = HEADER.unpack_from(blob, 0)
+    body = blob[HEADER.size:]
+    assert len(body) == length and zlib.crc32(body) == crc
+    assert len(json.loads(body)["state"]["entries"]) == 6
+    before = log.entries()
+    accounting, recovery = crash_and_recover(log)
+    assert recovery == {"replayed": 6, "lost": 0, "gap": False}
+    assert log.entries() == before
+    assert log.verify()

@@ -123,7 +123,7 @@ class TestJournalOverFiles:
             journal.append({"n": n})
         journal.snapshot({"upto": 6}, 6)
         journal.append({"n": 6})
-        snapshot, records, _report = Journal(
+        segments, records, _report = Journal(
             FileStorage(str(tmp_path / "j")), "d0.audit").recover()
-        assert snapshot["state"] == {"upto": 6}
+        assert [segment["state"] for segment in segments] == [{"upto": 6}]
         assert [record.payload["n"] for record in records] == [6]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.store import Journal, SNAPSHOT_SUFFIX, StableStorage
+from repro.store.journal import _frame
 
 HEADER = struct.Struct(">II")
 
@@ -170,8 +171,8 @@ def test_snapshot_compacts_and_recovery_resumes_from_it():
     assert journal.snapshot_seq == 5
     assert storage.read("d0.audit") == b""             # fully compacted
     journal.append({"n": 5})
-    snapshot, records, report = Journal(storage, "d0.audit").recover()
-    assert snapshot["state"] == {"upto": 5}
+    segments, records, report = Journal(storage, "d0.audit").recover()
+    assert [segment["state"] for segment in segments] == [{"upto": 5}]
     assert report.snapshot_seq == 5
     assert [record.seq for record in records] == [6]
     # The next sequence continues after the snapshot + tail.
@@ -187,12 +188,156 @@ def test_damaged_snapshot_is_discarded_not_trusted():
     journal.snapshot({"upto": 1})
     journal.append({"n": 1})
     storage.corrupt_tail("d0.audit" + SNAPSHOT_SUFFIX, flip_bit=9)
-    snapshot, records, report = Journal(storage, "d0.audit").recover()
-    assert snapshot is None
+    segments, records, report = Journal(storage, "d0.audit").recover()
+    assert segments == []
     assert not storage.exists("d0.audit" + SNAPSHOT_SUFFIX)
     # Only the post-snapshot tail remains replayable: the compaction
     # already dropped seq 1 from the journal, so the loss is visible as
     # a sequence starting past 1 — never a silently wrong chain.
+    assert [record.seq for record in records] == [2]
+
+
+def test_snapshots_append_segments_and_recovery_returns_them_in_order():
+    storage = StableStorage()
+    journal = Journal(storage, "d0.audit")
+    for upto in (2, 4, 6):
+        journal.append({"n": upto - 1})
+        journal.append({"n": upto})
+        assert journal.snapshot({"upto": upto}) == upto
+    journal.append({"n": 7})
+    # One frame per snapshot: earlier segments are never rewritten.
+    assert frames(storage, "d0.audit" + SNAPSHOT_SUFFIX) == [
+        {"seq": upto, "state": {"upto": upto}} for upto in (2, 4, 6)]
+    segments, records, report = Journal(storage, "d0.audit").recover()
+    assert [segment["state"] for segment in segments] == [
+        {"upto": 2}, {"upto": 4}, {"upto": 6}]
+    assert report.snapshot_seq == 6
+    assert [record.seq for record in records] == [7]
+
+
+def test_snapshot_up_to_the_last_append_skips_the_journal_scan(monkeypatch):
+    storage = StableStorage()
+    journal = Journal(storage, "d0.audit")
+    for n in range(3):
+        journal.append({"n": n})
+
+    def no_scan(*_args, **_kwargs):
+        raise AssertionError("nothing survives the snapshot: no scan needed")
+
+    monkeypatch.setattr(journal, "_scan", no_scan)
+    assert journal.snapshot({"upto": 3}) == 3
+    assert storage.read("d0.audit") == b""
+    assert journal.flushed_records == 0 and journal.durable_records == 3
+
+
+def test_damage_to_any_segment_discards_the_whole_blob():
+    storage = StableStorage()
+    journal = Journal(storage, "d0.audit")
+    for upto in (1, 2, 3):
+        journal.append({"n": upto})
+        journal.snapshot({"upto": upto})
+    journal.append({"n": 4})
+    storage.corrupt_tail("d0.audit" + SNAPSHOT_SUFFIX, flip_bit=9)
+    segments, records, _report = journal.recover()
+    # The two intact segments in front of the damaged one are not kept.
+    assert segments == []
+    assert not storage.exists("d0.audit" + SNAPSHOT_SUFFIX)
+    assert [record.seq for record in records] == [4]
+
+
+def test_losing_whole_trailing_segments_is_damage_to_their_writer():
+    """Dropping exactly the last segment leaves a blob that still parses
+    frame by frame.  The journal that wrote it knows its length and CRC,
+    so it discards the blob, as it would any other damaged snapshot."""
+    storage = StableStorage()
+    journal = Journal(storage, "d0.audit")
+    journal.append({"n": 1})
+    journal.snapshot({"upto": 1})
+    before = storage.size("d0.audit" + SNAPSHOT_SUFFIX)
+    journal.append({"n": 2})
+    journal.snapshot({"upto": 2})
+    dropped = storage.size("d0.audit" + SNAPSHOT_SUFFIX) - before
+    storage.corrupt_tail("d0.audit" + SNAPSHOT_SUFFIX, drop_bytes=dropped)
+    assert len(frames(storage, "d0.audit" + SNAPSHOT_SUFFIX)) == 1
+    segments, records, _report = journal.recover()
+    assert segments == [] and records == []
+
+
+def test_snapshot_after_damage_rewrites_the_blob_with_the_history():
+    storage = StableStorage()
+    journal = Journal(storage, "d0.audit")
+    journal.append({"n": 1})
+    journal.snapshot({"upto": 1}, history=lambda: {"full": 1})
+    storage.corrupt_tail("d0.audit" + SNAPSHOT_SUFFIX, drop_bytes=3)
+    journal.append({"n": 2})
+    journal.snapshot({"upto": 2}, history=lambda: {"full": 2})
+    # The damaged frame is gone, replaced by one segment of the history.
+    assert frames(storage, "d0.audit" + SNAPSHOT_SUFFIX) == [
+        {"seq": 2, "state": {"full": 2}}]
+    journal.append({"n": 3})
+    journal.snapshot({"upto": 3}, history=lambda: {"full": 3})
+    # Intact again, so the next snapshot appends its delta.
+    assert frames(storage, "d0.audit" + SNAPSHOT_SUFFIX) == [
+        {"seq": 2, "state": {"full": 2}}, {"seq": 3, "state": {"upto": 3}}]
+
+
+def tear_segment_append(storage, journal, state):
+    """What a crash in the middle of :meth:`Journal.snapshot` leaves: the
+    journal flushed, half the new segment frame on disk, no compaction."""
+    journal.flush()
+    frame = _frame({"seq": journal._next_seq - 1, "state": state})
+    storage.append("d0.audit" + SNAPSHOT_SUFFIX, frame[:len(frame) // 2])
+
+
+def test_cold_open_cuts_a_torn_last_segment_and_keeps_the_rest():
+    storage = StableStorage()
+    journal = Journal(storage, "d0.audit")
+    for n in range(1, 5):
+        journal.append({"n": n})
+        if n == 2:
+            journal.snapshot({"upto": 2})
+    tear_segment_append(storage, journal, {"upto": 4})
+    reopened = Journal(storage, "d0.audit")
+    segments, records, report = reopened.recover()
+    assert [segment["state"] for segment in segments] == [{"upto": 2}]
+    assert [record.seq for record in records] == [3, 4]
+    assert report.snapshot_seq == 2
+    assert frames(storage, "d0.audit" + SNAPSHOT_SUFFIX) == [
+        {"seq": 2, "state": {"upto": 2}}]
+    # The cut blob is what the journal now knows: the next snapshot
+    # appends after it.
+    reopened.snapshot({"upto": 4})
+    assert [segment["state"]
+            for segment in Journal(storage, "d0.audit").recover()[0]] == [
+        {"upto": 2}, {"upto": 4}]
+
+
+def test_cold_open_discards_a_torn_blob_the_journal_contradicts():
+    """A torn last segment whose records the journal no longer starts at
+    is damage after a compaction, not a crash mid-append: the earlier
+    segments would not line up with the journal, so the blob goes."""
+    storage = StableStorage()
+    journal = Journal(storage, "d0.audit")
+    for upto in (1, 2):
+        journal.append({"n": upto})
+        journal.snapshot({"upto": upto})
+    journal.append({"n": 3})
+    storage.corrupt_tail("d0.audit" + SNAPSHOT_SUFFIX, drop_bytes=3)
+    segments, records, _report = Journal(storage, "d0.audit").recover()
+    assert segments == []
+    assert not storage.exists("d0.audit" + SNAPSHOT_SUFFIX)
+    assert [record.seq for record in records] == [3]
+
+
+def test_warm_recovery_never_keeps_part_of_a_torn_blob():
+    storage = StableStorage()
+    journal = Journal(storage, "d0.audit")
+    journal.append({"n": 1})
+    journal.snapshot({"upto": 1})
+    journal.append({"n": 2})
+    tear_segment_append(storage, journal, {"upto": 2})
+    segments, records, _report = journal.recover()
+    assert segments == []
     assert [record.seq for record in records] == [2]
 
 

@@ -124,6 +124,56 @@ class TestWarehouseStore:
         assert len(reopened) == 10
         assert not reopened.ingest(record(seed=5))       # still dedupes
 
+    def test_each_compaction_appends_only_the_new_records(self, tmp_path):
+        warehouse = Warehouse(str(tmp_path / "wh"), compact_every=0)
+        for seed in range(3):
+            warehouse.ingest(record(seed=seed))
+        warehouse.compact()
+        for seed in range(3, 5):
+            warehouse.ingest(record(seed=seed))
+        warehouse.compact()
+        warehouse.ingest(record(seed=5))                 # journal tail
+        segments = warehouse.journal.recover()[0]
+        assert [[payload["key"]["seed"]
+                 for payload in segment["state"]["records"]]
+                for segment in segments] == [[0, 1, 2], [3, 4]]
+        reopened = Warehouse(str(tmp_path / "wh"))
+        # Every record exactly once, in ingest order.
+        assert [run.key.seed for run in reopened.runs()] == list(range(6))
+
+    def test_kill_during_compaction_loses_no_record(self, tmp_path,
+                                                    monkeypatch):
+        """A process killed while ``compact()`` appends its segment leaves
+        ``warehouse.snap`` ending in a torn frame.  The next open cuts it
+        away and keeps the earlier segments; the torn segment's records
+        are still in the journal, which is compacted only afterwards."""
+
+        class Killed(BaseException):
+            pass
+
+        warehouse = Warehouse(str(tmp_path / "wh"), compact_every=0)
+        for seed in range(3):
+            warehouse.ingest(record(seed=seed))
+        warehouse.compact()
+        for seed in range(3, 6):
+            warehouse.ingest(record(seed=seed))
+        append = warehouse.storage.append
+
+        def torn_append(name, data):
+            if name == "warehouse.snap":
+                append(name, data[:len(data) // 2])
+                raise Killed
+            append(name, data)
+
+        monkeypatch.setattr(warehouse.storage, "append", torn_append)
+        with pytest.raises(Killed):
+            warehouse.compact()
+        reopened = Warehouse(str(tmp_path / "wh"), compact_every=0)
+        assert [run.key.seed for run in reopened.runs()] == list(range(6))
+        reopened.compact()
+        assert [run.key.seed for run in Warehouse(
+            str(tmp_path / "wh")).runs()] == list(range(6))
+
     def test_batched_flush_mode(self, tmp_path):
         """``flush_every > 1`` (campaign-sweep ingest) buffers frames;
         ``flush()`` is the durability point."""
