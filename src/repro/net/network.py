@@ -5,6 +5,16 @@ handlers with configurable latency and loss, respecting a
 :class:`~repro.net.topology.Topology`.  All timing flows through the
 discrete-event simulator; all randomness through its seeded RNG, so runs
 replay exactly.
+
+A send is one pass over its recipients (every other registered address,
+in sorted order, for a broadcast; the one addressee for a unicast).  The
+work that is the same for every recipient -- the label, the clock, the
+active span, the link parameters and whether the topology restricts
+reachability at all -- is done once per message.  Per recipient, in
+order: unroutable, unreachable, then the ``net`` substream's loss draw
+(only when ``0 < loss_rate < 1``) and its jitter draw (only when
+``jitter > 0``); each delivery that survives is one event-queue push at
+``now + (base_latency + jitter draw)``, labelled ``net:<topic>``.
 """
 
 from __future__ import annotations
@@ -30,8 +40,6 @@ class Network:
         jitter: float = 0.05,
         loss_rate: float = 0.0,
     ):
-        if base_latency < 0 or jitter < 0:
-            raise NetworkError("latency parameters must be non-negative")
         if not 0.0 <= loss_rate <= 1.0:
             # loss_rate == 1.0 is a total blackout link, used by the
             # partition/chaos experiments (E17).
@@ -42,6 +50,7 @@ class Network:
         self.jitter = jitter
         self.loss_rate = loss_rate
         self._handlers: dict[str, Handler] = {}
+        self._order: Optional[tuple] = None     # sorted(self._handlers), cached
         self._suspended: set = set()
         self._rng = sim.rng.stream("net")
         self._taps: list[Callable[[Message], None]] = []
@@ -57,6 +66,31 @@ class Network:
         self._m_latency = metrics.histogram("net.latency")
         self._telemetry = sim.telemetry
 
+    # -- latency ------------------------------------------------------------------
+    # Validated on every assignment (fault injection changes base_latency
+    # mid-run): a delivery is pushed at ``now + latency`` without passing
+    # through ``Simulator.schedule``'s negative-delay check.
+
+    @property
+    def base_latency(self) -> float:
+        return self._base_latency
+
+    @base_latency.setter
+    def base_latency(self, value: float) -> None:
+        if value < 0:
+            raise NetworkError("latency parameters must be non-negative")
+        self._base_latency = value
+
+    @property
+    def jitter(self) -> float:
+        return self._jitter
+
+    @jitter.setter
+    def jitter(self, value: float) -> None:
+        if value < 0:
+            raise NetworkError("latency parameters must be non-negative")
+        self._jitter = value
+
     # -- registration ------------------------------------------------------------
 
     def register(self, address: str, handler: Handler) -> None:
@@ -66,11 +100,13 @@ class Network:
         if address in self._handlers:
             raise NetworkError(f"address {address!r} already registered")
         self._handlers[address] = handler
+        self._order = None
         if address not in self.topology:
             self.topology.add_member(address)
 
     def unregister(self, address: str) -> None:
         self._handlers.pop(address, None)
+        self._order = None
         self._suspended.discard(address)
         self.topology.remove_member(address)
 
@@ -100,7 +136,13 @@ class Network:
         return address in self._suspended
 
     def addresses(self) -> list[str]:
-        return sorted(self._handlers)
+        return list(self._recipients())
+
+    def _recipients(self) -> tuple:
+        order = self._order
+        if order is None:
+            order = self._order = tuple(sorted(self._handlers))
+        return order
 
     def tap(self, callback: Callable[[Message], None]) -> None:
         """Observe every *sent* message (monitoring, worm propagation studies)."""
@@ -127,34 +169,57 @@ class Network:
             self._telemetry.start_span("net.send", sender, parent=ctx,
                                        topic=topic, recipient=recipient)
         if message.is_broadcast:
-            for address in self.addresses():
-                if address != sender:
-                    self._deliver_one(message, address)
+            self._deliver(message, self._recipients(), skip=sender)
         else:
-            self._deliver_one(message, recipient)
+            self._deliver(message, (recipient,))
         return message
 
-    def _deliver_one(self, message: Message, recipient: str) -> None:
-        if recipient not in self._handlers:
-            self._m_unroutable.inc()
-            self.sim.record("net.unroutable", message.sender, recipient=recipient,
-                            topic=message.topic)
-            return
-        if not self.topology.can_reach(message.sender, recipient):
-            self._m_unreachable.inc()
-            self.sim.record("net.unreachable", message.sender, recipient=recipient,
-                            topic=message.topic)
-            return
-        if self._rng.chance(self.loss_rate):
-            self._m_dropped.inc()
-            self.sim.record("net.dropped", message.sender, recipient=recipient,
-                            topic=message.topic)
-            return
-        latency = self.base_latency
-        if self.jitter > 0:
-            latency += self._rng.uniform(0.0, self.jitter)
-        self.sim.schedule(latency, self._arrive, message, recipient,
-                          label=f"net:{message.topic}")
+    def _deliver(self, message: Message, recipients: tuple,
+                 skip: Optional[str] = None) -> None:
+        """Deliver ``message`` to each of ``recipients`` but ``skip``."""
+        sender = message.sender
+        topic = message.topic
+        sim = self.sim
+        handlers = self._handlers
+        topology = self.topology
+        can_reach = topology.can_reach
+        # Registering an address adds it to the topology, so when nothing
+        # restricts reachability every registered address but the
+        # sender's own is in reach of a member sender.
+        reach_all = topology.fully_connected() and sender in topology
+        loss_rate = self.loss_rate
+        lossy = loss_rate > 0.0
+        chance = self._rng.chance
+        base = self.base_latency
+        jitter = self.jitter
+        jittered = jitter > 0
+        # ``jitter * random()`` is ``uniform(0.0, jitter)`` bit for bit
+        # (``random.Random.uniform`` is ``a + (b - a) * random()``), one
+        # Python frame instead of two per delivery.
+        draw = self._rng.random
+        push = sim.queue.push
+        arrive = self._arrive
+        now = sim.now
+        span = self._telemetry.current
+        label = f"net:{topic}"
+        for address in recipients:
+            if address == skip:
+                continue
+            if address not in handlers:
+                self._m_unroutable.inc()
+                sim.record("net.unroutable", sender, recipient=address, topic=topic)
+            elif ((not reach_all or address == sender)
+                  and not can_reach(sender, address)):
+                self._m_unreachable.inc()
+                sim.record("net.unreachable", sender, recipient=address, topic=topic)
+            elif lossy and chance(loss_rate):
+                self._m_dropped.inc()
+                sim.record("net.dropped", sender, recipient=address, topic=topic)
+            elif jittered:
+                push(now + (base + jitter * draw()), arrive, (message, address),
+                     0, label, span)
+            else:
+                push(now + base, arrive, (message, address), 0, label, span)
 
     def _arrive(self, message: Message, recipient: str) -> None:
         handler = self._handlers.get(recipient)

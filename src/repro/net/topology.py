@@ -66,9 +66,9 @@ class Topology:
     def partition(self, groups: Iterable[Iterable[str]]) -> None:
         """Split members into isolated groups (e.g. a netsplit).
 
-        Members not mentioned in any group keep partition 0 with group 0's
-        complement — simplest rule: unmentioned members join group index -1
-        together.
+        Group ``i`` becomes partition ``i``.  Every member no group
+        mentions lands in one extra partition (index -1) with the other
+        unmentioned members.  A new call replaces the previous split.
         """
         self._partition_of = {}
         for index, group in enumerate(groups):
@@ -83,6 +83,11 @@ class Topology:
         return self._partition_of.get(a, -1) == self._partition_of.get(b, -1)
 
     # -- reachability -------------------------------------------------------------
+
+    def fully_connected(self) -> bool:
+        """No explicit links and no active partition: every member can
+        reach every other member."""
+        return not self._explicit and not self._partition_of
 
     def can_reach(self, a: str, b: str) -> bool:
         """Direct link (explicit mode) or co-membership (implicit), same partition."""

@@ -88,3 +88,18 @@ def test_remove_member_clears_partition_assignment():
     assert not topo.can_reach("a", "b")
     topo.heal()
     assert topo.can_reach("a", "b")
+
+
+def test_fully_connected_until_a_link_or_partition_restricts_reach():
+    topo = Topology(["a", "b", "c"])
+    assert topo.fully_connected()
+    topo.partition([["a"], ["b", "c"]])
+    assert not topo.fully_connected()
+    topo.heal()
+    assert topo.fully_connected()
+    topo.partition([])            # nobody split off: everyone in group -1
+    assert topo.fully_connected()
+    topo.add_link("a", "b")
+    assert not topo.fully_connected()
+    topo.heal()
+    assert not topo.fully_connected()   # explicit links stay
