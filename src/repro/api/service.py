@@ -37,6 +37,7 @@ from repro.api.profile import EvaluationProfile, default_profile
 from repro.api.runtime import ServiceRuntime
 from repro.audit.log import AuditLog
 from repro.core.events import Event
+from repro.errors import StateError
 from repro.statespace.batch import StateMatrix, numpy_available
 from repro.telemetry.explain import explain
 from repro.telemetry.exposition import prometheus_text, write_bundle
@@ -54,6 +55,25 @@ _REASON_STATUS = {
     "unknown-kind": 400, "no-numpy": 503, "too-many-rows": 413,
     "no-warehouse": 503, "internal": 500,
 }
+
+
+def _reject_nan(matrix: StateMatrix) -> None:
+    """Raise :class:`ValueError` naming the first row holding a NaN.
+
+    JSON ``null`` and ``NaN`` land in a float column as NaN, and NaN
+    fails every comparison a guard makes; one vectorized pass per float
+    column keeps the check off the per-row path.
+    """
+    first = None
+    for name, col in matrix.columns.items():
+        if col.dtype.kind == "f":
+            nan = matrix.np.isnan(col)
+            if nan.any():
+                row = int(nan.argmax())
+                if first is None or row < first[0]:
+                    first = (row, name)
+    if first is not None:
+        raise ValueError(f"row {first[0]}: {first[1]}: NaN is not a value")
 
 
 class ApiResponse:
@@ -345,7 +365,7 @@ class ControlPlane:
             if overrides:
                 device.state.apply(dict(overrides), time=self.runtime.now,
                                    cause="api.state")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, StateError) as exc:
             return (400, {"error": "bad-request", "detail": str(exc)},
                     "bad-request")
         event = Event(kind, time=self.runtime.now,
@@ -393,8 +413,17 @@ class ControlPlane:
             return (413, {"error": "too-many-rows",
                           "limit": self.config.batch_row_limit},
                     "too-many-rows")
+        try:
+            if set(map(type, rows)) != {dict}:
+                index = next(i for i, row in enumerate(rows)
+                             if type(row) is not dict)
+                raise ValueError(f"row {index}: not a JSON object")
+            matrix = StateMatrix.from_rows(self.profile.space, rows)
+            _reject_nan(matrix)
+        except ValueError as exc:
+            return (400, {"error": "bad-request", "detail": str(exc)},
+                    "bad-request")
         before = evaluator.stats()
-        matrix = StateMatrix.from_rows(self.profile.space, rows)
         chosen = evaluator.select(matrix)
         vetoed, executed = evaluator.apply(matrix, chosen)
         after = evaluator.stats()

@@ -61,6 +61,8 @@ class StateVariable:
                 f"{self.name}: expected {self.kind}, got {type(value).__name__}"
             )
         if self.kind in ("float", "int"):
+            if value != value:  # NaN fails every bound comparison below
+                raise StateBoundsError(f"{self.name}: NaN is not a value")
             if self.low is not None and value < self.low:
                 raise StateBoundsError(f"{self.name}: {value} below bound {self.low}")
             if self.high is not None and value > self.high:

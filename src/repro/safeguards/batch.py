@@ -14,7 +14,10 @@ in a handful of numpy passes:
   predicted-state computation (effects compose unclamped, final values
   saturate at the declared bounds — exactly
   :meth:`~repro.core.state.DeviceState.resolve_changes`), and the sec
-  VI-B veto (predicted state classifies BAD) in batch.
+  VI-B veto (predicted state classifies BAD) in batch.  Prediction, veto
+  and write-back run on per-program row subsets: each program gathers
+  only the rows that chose it, so the guarded work is done once per row,
+  not once per row per program.
 
 **Decision identity.** The vector path reproduces the scalar path
 bit-for-bit: same IEEE-754 operations in the same order.  The evaluator
@@ -274,28 +277,29 @@ class BatchPolicyEvaluator:
             chosen = np.where((chosen < 0) & active & mask, index, chosen)
         return chosen
 
-    def _predicted_columns(self, matrix: StateMatrix, effects):
-        """Predicted full-column overlay for one program's effects.
+    def _predicted_columns(self, matrix: StateMatrix, sub: dict, k: int,
+                           effects):
+        """Predicted columns for one program's effects over its row subset.
 
-        Effects compose unclamped in declaration order; each touched
-        variable is then saturated at its physical bounds — the batch
-        mirror of ``DeviceState.resolve_changes``.
+        ``sub`` holds the ``k`` rows that chose the program, gathered from
+        every column of ``matrix``.  Effects compose unclamped in
+        declaration order; each touched variable is then saturated at its
+        physical bounds — the batch mirror of
+        ``DeviceState.resolve_changes``.
         """
         work: dict = {}
         for effect in effects:
             name = effect.variable
-            col = work.get(name)
-            if col is None:
-                col = matrix.columns[name].copy()
+            col = work.get(name, sub[name])
             if effect.op == "set":
-                col = self.np.full(matrix.n_rows, float(effect.value),
+                col = self.np.full(k, float(effect.value),
                                    dtype=self.np.float64)
             elif effect.op == "add":
                 col = col + effect.value
             else:  # scale
                 col = col * effect.value
             work[name] = col
-        predicted = dict(matrix.columns)
+        predicted = dict(sub)
         for name, col in work.items():
             predicted[name] = matrix.clamp(name, col)
         return predicted
@@ -321,8 +325,12 @@ class BatchPolicyEvaluator:
     def apply(self, matrix: StateMatrix, chosen, guard_exempt=None):
         """Apply each row's chosen program; returns ``(vetoed, executed)``.
 
-        ``guard_exempt`` rows (e.g. compromised devices that stripped
-        their safeguards) bypass the veto and always execute.
+        Each program runs on the rows that chose it: those rows are
+        gathered, predicted, classified and written back, and no other
+        row is touched.  A row picks one program, so no program reads a
+        row an earlier program wrote.  ``guard_exempt`` rows (e.g.
+        compromised devices that stripped their safeguards) bypass the
+        veto and always execute.
         """
         np = self.np
         n = matrix.n_rows
@@ -330,27 +338,29 @@ class BatchPolicyEvaluator:
         executed = np.zeros(n, dtype=bool)
         if guard_exempt is None:
             guard_exempt = np.zeros(n, dtype=bool)
+        columns = matrix.columns
         for index, program in enumerate(self.programs):
-            rows = chosen == index
-            if not rows.any():
+            rows = np.flatnonzero(chosen == index)
+            if not rows.size:
                 continue
             plan = self._effect_plans[index]
             if plan is None:
-                self._apply_rows_scalar(matrix, np.nonzero(rows)[0], program,
+                self._apply_rows_scalar(matrix, rows, program,
                                         guard_exempt, vetoed, executed)
                 continue
             if not program.effects:
-                executed = executed | rows
+                executed[rows] = True
                 continue
-            predicted = self._predicted_columns(matrix, program.effects)
-            bad = self._bad_rows(predicted, n)
-            veto_rows = rows & bad & ~guard_exempt
-            apply_rows = rows & ~veto_rows
-            vetoed = vetoed | veto_rows
-            executed = executed | apply_rows
+            sub = {name: col[rows] for name, col in columns.items()}
+            predicted = self._predicted_columns(matrix, sub, rows.size,
+                                                program.effects)
+            veto = self._bad_rows(predicted, rows.size) & ~guard_exempt[rows]
+            vetoed[rows[veto]] = True
+            keep = ~veto
+            applied = rows[keep]
+            executed[applied] = True
             for name in {effect.variable for effect in program.effects}:
-                col = matrix.columns[name]
-                col[:] = np.where(apply_rows, predicted[name], col)
+                columns[name][applied] = predicted[name][keep]
         return vetoed, executed
 
     # -- scalar twin -----------------------------------------------------------

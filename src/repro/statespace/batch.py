@@ -102,13 +102,20 @@ class StateMatrix:
 
     @classmethod
     def from_rows(cls, space: StateSpace, rows, np_module=None) -> "StateMatrix":
-        """Build a matrix from an iterable of state-vector dicts."""
+        """Build a matrix from an iterable of state-vector dicts.
+
+        A value its column cannot hold raises :class:`ValueError` naming
+        the row index and the variable.
+        """
         rows = list(rows)
         matrix = cls(space, len(rows), np_module=np_module)
-        for name, col in matrix.columns.items():
-            for i, vector in enumerate(rows):
-                if name in vector:
-                    col[i] = vector[name]
+        try:
+            for name, col in matrix.columns.items():
+                for i, vector in enumerate(rows):
+                    if name in vector:
+                        col[i] = vector[name]
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ValueError(f"row {i}: {name}: {exc}") from None
         return matrix
 
     def column(self, name: str):
@@ -143,15 +150,16 @@ class StateMatrix:
         """Values saturated at the variable's declared physical bounds.
 
         Mirrors :meth:`repro.core.state.DeviceState.resolve_changes`:
-        ``low`` is applied before ``high``, via ``maximum`` then
-        ``minimum`` — the same result as the scalar two-``if`` form.
+        ``low`` is applied before ``high``, each replacing only values
+        strictly past the bound — the scalar two-``if`` form, so ``-0.0``
+        at a bound of ``0.0`` stays ``-0.0`` (``maximum`` would flip it).
         """
         np = self.np
         var = self.space.variable(name)
         if var.low is not None:
-            values = np.maximum(values, var.low)
+            values = np.where(values < var.low, var.low, values)
         if var.high is not None:
-            values = np.minimum(values, var.high)
+            values = np.where(values > var.high, var.high, values)
         return values
 
 

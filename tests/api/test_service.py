@@ -72,6 +72,26 @@ class TestEvaluate:
         plane.close()
 
 
+    @pytest.mark.parametrize("body, variable", [
+        (b'{"heat": "hot"}', "heat"),
+        (b'{"ghost": 1}', "ghost"),
+        (b'{"heat": 1e400}', "heat"),
+        (b'{"speed": NaN}', "speed"),
+    ])
+    def test_bad_state_values_are_bad_request(self, body, variable):
+        plane, _ = make_plane()
+        before = plane.device.state.snapshot()
+        response = plane.handle_request(
+            "POST", "/evaluate",
+            body=b'{"event": {"kind": "mgmt.command.move"}, "state": '
+            + body + b'}')
+        assert (response.status, response.reason) == (400, "bad-request")
+        assert variable in response.payload["detail"]
+        assert plane.device.state.snapshot() == before
+        assert plane.runtime.metrics.value("api.errors.bad-request") == 1.0
+        plane.close()
+
+
 class TestExplainRoundTrip:
     def test_decision_spans_nest_under_the_request_root(self):
         plane, _ = make_plane()
@@ -193,6 +213,25 @@ class TestBatch:
     def test_empty_rows_are_bad_request(self):
         plane, _ = make_plane()
         assert post(plane, "/batch", {"rows": []}).status == 400
+        plane.close()
+
+    @pytest.mark.parametrize("rows, detail", [
+        ('[{}, {"heat": "hot"}]', "row 1: heat"),
+        ('[{"civilians_near": null}]', "row 0: civilians_near"),
+        ('[{"civilians_near": 1e400}]', "row 0: civilians_near"),
+        ('[{}, {}, "notadict"]', "row 2"),
+        ('[{}, 5]', "row 1"),
+        ('[{}, {"heat": null}]', "row 1: heat"),
+        ('[{}, {}, {"battery": NaN}, {"heat": NaN}]', "row 2: battery"),
+    ])
+    def test_bad_rows_are_bad_request_naming_the_row(self, rows, detail):
+        plane, _ = make_plane()
+        evaluator = plane.batch_evaluator
+        response = plane.handle_request(
+            "POST", "/batch", body=('{"rows": %s}' % rows).encode("utf-8"))
+        assert (response.status, response.reason) == (400, "bad-request")
+        assert response.payload["detail"].startswith(detail)
+        assert evaluator.decisions == 0      # nothing was evaluated
         plane.close()
 
 

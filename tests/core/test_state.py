@@ -26,6 +26,16 @@ class TestStateVariable:
         with pytest.raises(StateBoundsError):
             var.validate(11.0)
 
+    @pytest.mark.parametrize("low, high", [(0.0, 10.0), (None, None)])
+    def test_nan_is_rejected_with_or_without_bounds(self, low, high):
+        var = StateVariable("x", "float", 5.0, low=low, high=high)
+        with pytest.raises(StateBoundsError, match="x: NaN"):
+            var.validate(float("nan"))
+        state = DeviceState(StateSpace([var]))
+        with pytest.raises(StateBoundsError):
+            state.apply({"x": float("nan")})
+        assert state.get("x") == 5.0
+
     def test_default_must_satisfy_bounds(self):
         with pytest.raises(StateBoundsError):
             StateVariable("x", "float", 20.0, low=0.0, high=10.0)

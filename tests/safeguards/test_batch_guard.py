@@ -255,3 +255,164 @@ def test_state_matrix_round_trip_and_clamp():
     assert list(clamped) == [0.0, 150.0, 50.0]
     with pytest.raises(Exception):
         m.column("ghost")
+
+
+def test_clamp_keeps_signed_zero_like_the_scalar_form():
+    # 0.0 * -1.0 is -0.0; the scalar ``new < low`` test leaves it alone,
+    # so the vector clamp must too.
+    m = matrix_from([{"temp": 0.0}])
+    clamped = m.clamp("temp", np.array([-0.0, 0.0]))
+    assert clamped.tobytes() == np.array([-0.0, 0.0]).tobytes()
+    evaluator = BatchPolicyEvaluator(
+        space(), [BatchProgram("flip", "true", [Effect("temp", "scale", -1.0)])])
+    vector, scalar = matrix_from([{"temp": 0.0}]), matrix_from([{"temp": 0.0}])
+    chosen = evaluator.select(vector)
+    evaluator.apply(vector, chosen)
+    evaluator.apply_scalar(scalar, chosen)
+    assert vector.columns["temp"].tobytes() == scalar.columns["temp"].tobytes()
+
+
+# -- per-program row subsets against the full-width apply ----------------------
+
+
+def full_width_apply(evaluator, matrix, chosen, guard_exempt=None):
+    """The full-width ``apply`` kept as a reference: every program predicts,
+    classifies and writes back all ``n`` rows, masked by ``np.where``."""
+    n = matrix.n_rows
+    vetoed = np.zeros(n, dtype=bool)
+    executed = np.zeros(n, dtype=bool)
+    if guard_exempt is None:
+        guard_exempt = np.zeros(n, dtype=bool)
+    for index, program in enumerate(evaluator.programs):
+        rows = chosen == index
+        if not rows.any():
+            continue
+        if evaluator._effect_plans[index] is None:
+            evaluator._apply_rows_scalar(matrix, np.nonzero(rows)[0], program,
+                                         guard_exempt, vetoed, executed)
+            continue
+        if not program.effects:
+            executed = executed | rows
+            continue
+        work = {}
+        for effect in program.effects:
+            name = effect.variable
+            col = work.get(name)
+            if col is None:
+                col = matrix.columns[name].copy()
+            if effect.op == "set":
+                col = np.full(n, float(effect.value), dtype=np.float64)
+            elif effect.op == "add":
+                col = col + effect.value
+            else:
+                col = col * effect.value
+            work[name] = col
+        predicted = dict(matrix.columns)
+        for name, col in work.items():
+            predicted[name] = matrix.clamp(name, col)
+        bad = evaluator._bad_rows(predicted, n)
+        veto_rows = rows & bad & ~guard_exempt
+        apply_rows = rows & ~veto_rows
+        vetoed = vetoed | veto_rows
+        executed = executed | apply_rows
+        for name in {effect.variable for effect in program.effects}:
+            col = matrix.columns[name]
+            col[:] = np.where(apply_rows, predicted[name], col)
+    return vetoed, executed
+
+
+def _threshold_bands():
+    return [ThresholdBand("temp", safe_high=80.0, hard_high=120.0),
+            ThresholdBand("fuel", safe_low=10.0, hard_low=0.0)]
+
+
+def make_classifier(kind):
+    if kind == "threshold":
+        return ThresholdClassifier(_threshold_bands())
+    if kind == "function":
+        # Same scores as the threshold classifier, but opaque: the
+        # evaluator cannot compile it and classifies row by row.
+        return FunctionClassifier(ThresholdClassifier(_threshold_bands()).safeness)
+    return None
+
+
+subset_program_strategy = st.one_of(
+    program_strategy,
+    st.builds(lambda cond: BatchProgram("noop", cond, []),
+              st.one_of(condition_strategy, st.just("true"))),
+    st.builds(lambda cond, effect: BatchProgram("nonfloat", cond, [effect]),
+              st.one_of(condition_strategy, st.just("true")),
+              st.sampled_from([Effect("count", "add", 1),
+                               Effect("armed", "set", True)])),
+)
+
+#: Drives temp toward the classifier's BAD band.  Appended as a
+#: catch-all ("true") program, it makes vetoes — and the guard-exempt
+#: rows that override them — common rather than rare.
+heat_program_strategy = st.builds(
+    lambda op, value: BatchProgram("heat", "true", [Effect("temp", op, value)]),
+    st.sampled_from(["set", "add"]),
+    st.floats(min_value=60.0, max_value=150.0))
+
+subset_row_strategy = st.fixed_dictionaries({
+    **{name: st.floats(min_value=BOUNDS[name][0], max_value=BOUNDS[name][1],
+                       allow_nan=False) for name in VARS},
+    "count": st.integers(min_value=0, max_value=100),
+    "armed": st.booleans(),
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(subset_program_strategy, min_size=0, max_size=5),
+       st.one_of(st.none(), heat_program_strategy),
+       st.lists(st.tuples(subset_row_strategy, st.booleans(), st.booleans()),
+                min_size=1, max_size=16),
+       st.sampled_from(["none", "threshold", "function"]))
+def test_subset_apply_matches_full_width_and_scalar(programs, catch_all,
+                                                    cases, kind):
+    if catch_all is not None:
+        programs = programs + [catch_all]
+    rows = [row for row, _, _ in cases]
+    active = np.array([flag for _, flag, _ in cases], dtype=bool)
+    exempt = np.array([flag for _, _, flag in cases], dtype=bool)
+    sp = space()
+
+    results = {}
+    for path in ("subset", "full", "scalar"):
+        evaluator = BatchPolicyEvaluator(sp, programs,
+                                         classifier=make_classifier(kind))
+        matrix = matrix_from(rows)
+        chosen = evaluator.select(matrix, active=active)
+        assert (chosen[~active] == -1).all()
+        if path == "subset":
+            vetoed, executed = evaluator.apply(matrix, chosen, exempt)
+        elif path == "full":
+            vetoed, executed = full_width_apply(evaluator, matrix, chosen,
+                                                exempt)
+        else:
+            vetoed, executed = evaluator.apply_scalar(matrix, chosen, exempt)
+        safeness = evaluator._safeness
+        results[path] = {
+            "chosen": chosen.tobytes(),
+            "vetoed": vetoed.tobytes(),
+            "executed": executed.tobytes(),
+            "columns": {name: col.tobytes() for name, col in
+                        matrix.columns.items() if col.dtype != object},
+            "counters": (evaluator.vector_evals, evaluator.scalar_evals,
+                         None if safeness is None else safeness.calls),
+        }
+
+    subset, full, scalar = results["subset"], results["full"], results["scalar"]
+    for key in ("chosen", "vetoed", "executed", "columns"):
+        assert subset[key] == full[key], key
+        assert subset[key] == scalar[key], key
+    assert subset["counters"] == full["counters"]
+
+
+def test_state_matrix_from_rows_names_the_bad_cell():
+    with pytest.raises(ValueError, match=r"^row 1: temp: "):
+        matrix_from([{"temp": 1.0}, {"temp": "hot"}])
+    with pytest.raises(ValueError, match=r"^row 0: count: "):
+        matrix_from([{"count": None}])
+    with pytest.raises(ValueError, match=r"^row 2: count: "):
+        matrix_from([{}, {}, {"count": float("inf")}])
