@@ -41,6 +41,7 @@ import time
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig
 from repro.scenarios.sweep import run_sweep
+from repro.telemetry.exposition import write_jsonl
 
 from conftest import best_of_interleaved, export_section
 
@@ -179,13 +180,10 @@ def _dump_rejects(scenario: ConfrontationScenario) -> None:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     audit = scenario.authz_audit
     assert audit is not None and audit.verify()
-    with open(REJECTS_PATH, "w", encoding="utf-8") as handle:
-        for entry in audit.entries("authz.reject"):
-            handle.write(json.dumps({
-                "index": entry.index, "time": entry.time,
-                "subject": entry.subject, "detail": entry.detail,
-                "entry_hash": entry.entry_hash,
-            }, sort_keys=True, default=str) + "\n")
+    write_jsonl(REJECTS_PATH, (
+        {"index": entry.index, "time": entry.time, "subject": entry.subject,
+         "detail": entry.detail, "entry_hash": entry.entry_hash}
+        for entry in audit.entries("authz.reject")))
 
 
 # -- stolen key ---------------------------------------------------------------------

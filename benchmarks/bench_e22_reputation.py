@@ -39,7 +39,6 @@ Quick mode (``E22_QUICK=1``, used by CI): one seed, two shard counts.
 """
 
 import functools
-import json
 import os
 
 from repro.attacks.injector import AttackInjector
@@ -56,6 +55,7 @@ from repro.scenarios.harness import ExperimentTable
 from repro.scenarios.reputation import (ReputationScenario,
                                         parse_lease_events)
 from repro.sim.simulator import Simulator
+from repro.telemetry.exposition import write_jsonl
 from repro.trust.reputation import ReputationLedger
 
 from conftest import export_section
@@ -165,9 +165,7 @@ def test_e22_leases_keep_partition_minority_serving(experiment):
 
         if seed == SEEDS[0]:
             os.makedirs(RESULTS_DIR, exist_ok=True)
-            with open(LEASES_PATH, "w", encoding="utf-8") as handle:
-                for event in events:
-                    handle.write(json.dumps(event, sort_keys=True) + "\n")
+            write_jsonl(LEASES_PATH, events)
 
         rows.append((seed, ls["vents_b_partition"], us["vents_b_partition"],
                      us["no_quorum_rejects"], ls["lease_grants"],

@@ -7,8 +7,9 @@ Examples::
     python -m repro.api --smoke          # boot, self-exercise, exit
 
 ``--smoke`` starts the server on an ephemeral port, drives one request
-through every endpoint (including a ``/jobs`` round-trip and an
-``/explain`` replay of its own ``/evaluate`` trace), prints a JSON
+through every endpoint (including a ``/jobs`` round-trip, an
+``/explain`` replay of its own ``/evaluate`` trace, and a ``/batch``
+row past a declared bound, which must be refused), prints a JSON
 report, and exits non-zero on any failure — the CI smoke job's entry
 point.
 """
@@ -58,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="health-monitor sampling period, seconds")
     parser.add_argument("--access-log", default=None, metavar="PATH",
                         help="stream JSONL access records to PATH")
-    parser.add_argument("--access-log-max-bytes", type=int, default=None,
-                        metavar="N",
-                        help="rotate the access-log stream at N bytes")
     parser.add_argument("--warehouse", default=None, metavar="DIR",
                         help="serve an E24 telemetry warehouse via /query")
     parser.add_argument("--no-observability", action="store_true",
@@ -80,7 +78,6 @@ def plane_from_args(args) -> ControlPlane:
         monitor_interval=args.monitor_interval,
         observability=not args.no_observability,
         access_log_path=args.access_log,
-        access_log_max_bytes=args.access_log_max_bytes,
         warehouse_dir=args.warehouse,
     )
     return ControlPlane(config=config)
@@ -123,6 +120,8 @@ def run_smoke(plane: ControlPlane) -> int:
         check("metrics", "GET", "/metrics")
         check("batch", "POST", "/batch",
               {"rows": [{"heat": 20.0}, {"heat": 130.0}]})
+        check("batch-out-of-range", "POST", "/batch",
+              {"rows": [{"heat": 500.0}]}, expect=400)
         check("audit", "GET", "/audit")
         if plane.warehouse is not None:
             check("query", "POST", "/query", {"op": "stats"})

@@ -2,22 +2,16 @@
 
 One JSON object per handled request — timestamp, endpoint, status,
 principal, reject reason, trace id, latency — retained in a bounded
-in-memory ring (so `/health` style introspection and the bundle export
-never grow without bound) and optionally streamed line-by-line to a
-JSONL file for tailing a live service.
-
-The file stream rotates by size (E24 satellite): a long-running service
-with ``max_bytes`` set rolls ``access.jsonl`` to ``access.jsonl.1``
-(older generations shifting up to ``.{rotations}``, the oldest dropped)
-once the current file crosses the threshold — the JSONL stream stays
-tail-able forever without growing unboundedly, matching the bounded-
-memory posture everywhere else in the observability stack.
+in-memory ring (so `/health` style introspection and the bundle's
+``access.jsonl`` stream never grow without bound) and optionally
+streamed line-by-line to a JSONL file for tailing a live service.  The
+streamed file is a live log, not a bundle artifact: it is appended to
+and flushed per request, and its size is the deployment's to manage.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from typing import Optional
 
@@ -25,28 +19,15 @@ from typing import Optional
 class AccessLog:
     """Bounded ring of access records with an optional JSONL stream."""
 
-    def __init__(self, capacity: int = 10_000, path: Optional[str] = None,
-                 max_bytes: Optional[int] = None, rotations: int = 3):
+    def __init__(self, capacity: int = 10_000, path: Optional[str] = None):
         if capacity < 1:
             raise ValueError("access log capacity must be >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("access log max_bytes must be >= 1")
-        if rotations < 1:
-            raise ValueError("access log rotations must be >= 1")
         self.capacity = capacity
         self.path = path
-        self.max_bytes = max_bytes
-        self.rotations = rotations
         self.written = 0
-        self.rotated = 0
         self._ring: deque = deque(maxlen=capacity)
         self._handle = None
-        self._file_bytes = 0
         if path is not None:
-            # Appending to an existing file counts its bytes toward the
-            # rotation threshold — restarts don't reset the budget.
-            self._file_bytes = (os.path.getsize(path)
-                                if os.path.exists(path) else 0)
             self._handle = open(path, "a", encoding="utf-8")
 
     def log(self, record: dict) -> None:
@@ -54,28 +35,9 @@ class AccessLog:
         self._ring.append(record)
         self.written += 1
         if self._handle is not None:
-            line = json.dumps(record, sort_keys=True, default=str) + "\n"
-            self._handle.write(line)
+            self._handle.write(json.dumps(record, sort_keys=True, default=str)
+                               + "\n")
             self._handle.flush()
-            self._file_bytes += len(line.encode("utf-8"))
-            if (self.max_bytes is not None
-                    and self._file_bytes >= self.max_bytes):
-                self._rotate()
-
-    def _rotate(self) -> None:
-        """Roll the stream: ``path`` -> ``path.1`` -> ... -> dropped."""
-        self._handle.close()
-        oldest = f"{self.path}.{self.rotations}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for generation in range(self.rotations - 1, 0, -1):
-            source = f"{self.path}.{generation}"
-            if os.path.exists(source):
-                os.replace(source, f"{self.path}.{generation + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._file_bytes = 0
-        self.rotated += 1
 
     def tail(self, n: int = 50) -> list:
         """The most recent ``n`` records, oldest first."""
@@ -88,16 +50,6 @@ class AccessLog:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    def export_jsonl(self, path: str) -> int:
-        """Write the retained ring as JSON Lines; returns the count."""
-        count = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self._ring:
-                handle.write(json.dumps(record, sort_keys=True, default=str)
-                             + "\n")
-                count += 1
-        return count
 
     def close(self) -> None:
         if self._handle is not None:

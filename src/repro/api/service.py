@@ -57,23 +57,40 @@ _REASON_STATUS = {
 }
 
 
-def _reject_nan(matrix: StateMatrix) -> None:
-    """Raise :class:`ValueError` naming the first row holding a NaN.
+def _reject_out_of_range(matrix: StateMatrix) -> None:
+    """Raise :class:`ValueError` naming the first row holding NaN, an
+    infinity, or a value past a declared bound.
 
     JSON ``null`` and ``NaN`` land in a float column as NaN, and NaN
-    fails every comparison a guard makes; one vectorized pass per float
-    column keeps the check off the per-row path.
+    fails every comparison a guard makes; one vectorized pass per
+    numeric column keeps the check off the per-row path.  The message
+    is :meth:`StateVariable.validate`'s, the words ``/evaluate`` answers
+    with.
     """
+    np = matrix.np
     first = None
     for name, col in matrix.columns.items():
-        if col.dtype.kind == "f":
-            nan = matrix.np.isnan(col)
-            if nan.any():
-                row = int(nan.argmax())
-                if first is None or row < first[0]:
-                    first = (row, name)
-    if first is not None:
-        raise ValueError(f"row {first[0]}: {first[1]}: NaN is not a value")
+        var = matrix.space.variable(name)
+        if var.kind not in ("float", "int"):
+            continue
+        bad = ~np.isfinite(col)                  # all False for ints
+        if var.low is not None:
+            bad |= col < var.low
+        if var.high is not None:
+            bad |= col > var.high
+        if bad.any():
+            row = int(bad.argmax())
+            if first is None or row < first[0]:
+                first = (row, name)
+    if first is None:
+        return
+    row, name = first
+    value = matrix.columns[name][row].item()
+    try:
+        matrix.space.variable(name).validate(value)
+    except StateError as exc:
+        raise ValueError(f"row {row}: {exc}") from None
+    raise ValueError(f"row {row}: {name}: {value} is not finite")
 
 
 class ApiResponse:
@@ -111,8 +128,6 @@ class ControlPlaneConfig:
     observability: bool = True               # spans + RED + access log
     access_log_capacity: int = 10_000
     access_log_path: Optional[str] = None
-    access_log_max_bytes: Optional[int] = None   # rotate stream at this size
-    access_log_rotations: int = 3
     error_rate_threshold: float = 0.5        # api-error-rate alert
     p99_threshold_s: float = 0.5             # api-p99-latency alert
     batch_row_limit: int = 100_000
@@ -145,9 +160,7 @@ class ControlPlane:
             self.runtime, api_keys=cfg.api_keys, rate=cfg.rate,
             burst=cfg.burst)
         self.access = AccessLog(capacity=cfg.access_log_capacity,
-                                path=cfg.access_log_path,
-                                max_bytes=cfg.access_log_max_bytes,
-                                rotations=cfg.access_log_rotations)
+                                path=cfg.access_log_path)
         self.jobs = JobQueue(self.runtime, capacity=cfg.queue_capacity,
                              workers=cfg.workers)
         self.warehouse = None
@@ -419,7 +432,7 @@ class ControlPlane:
                              if type(row) is not dict)
                 raise ValueError(f"row {index}: not a JSON object")
             matrix = StateMatrix.from_rows(self.profile.space, rows)
-            _reject_nan(matrix)
+            _reject_out_of_range(matrix)
         except ValueError as exc:
             return (400, {"error": "bad-request", "detail": str(exc)},
                     "bad-request")
@@ -625,17 +638,18 @@ class ControlPlane:
 
     def export_bundle(self, dirpath: str,
                       extra_manifest: Optional[dict] = None) -> dict:
-        """Write the full telemetry bundle plus the access-log ring."""
-        import os
-
+        """Write the full telemetry bundle, alert history and access-log
+        ring included."""
         extra = {"service": "repro.api", "profile": self.profile.name,
                  "access_log_records": len(self.access)}
         if extra_manifest:
             extra.update(extra_manifest)
-        manifest = write_bundle(self.runtime, dirpath,
-                                extra_manifest=extra, alerts=self.alerts)
-        self.access.export_jsonl(os.path.join(dirpath, "access.jsonl"))
-        return manifest
+        return write_bundle(self.runtime, dirpath, extra_manifest=extra,
+                            streams={
+                                "alerts": [alert.to_dict() for alert
+                                           in self.alerts.history],
+                                "access": self.access.tail(len(self.access)),
+                            })
 
     def close(self) -> None:
         self.jobs.stop()

@@ -868,6 +868,10 @@ class ConfrontationScenario:
                 len(ledger.in_band("suspect", now)))
             self.sim.metrics.gauge("reputation.devices").set(
                 len(ledger.known()))
+        streams = {}
+        if self.alerts is not None:
+            streams["alerts"] = [alert.to_dict()
+                                 for alert in self.alerts.history]
         return write_bundle(self.sim, dirpath, extra_manifest={
             "scenario": "confrontation",
             "safety_transport": self.safety_transport,
@@ -875,7 +879,7 @@ class ConfrontationScenario:
             "flight_dumps": self.flight.dumps if self.flight else 0,
             "health": self.monitor is not None,
             "reputation": self.reputation_ledger is not None,
-        }, alerts=self.alerts,
+        }, streams=streams,
             # Self-describing identity (E24): warehouse ingest reads the
             # run's coordinates straight from the manifest.
             experiment="confrontation", arm=self.config.label(),

@@ -191,6 +191,10 @@ class TimeSeries:
                 total += t1 - t0
         return total
 
+    def snapshot(self) -> dict:
+        return {"type": "timeseries", "last": self.last(),
+                "peak": self.peak(), "count": len(self.samples)}
+
 
 class MetricsRegistry:
     """Namespace of metrics for one simulation run."""

@@ -29,6 +29,11 @@ class TraceEvent:
     def matches(self, kind_prefix: str) -> bool:
         return self.kind == kind_prefix or self.kind.startswith(kind_prefix + ".")
 
+    def to_dict(self) -> dict:
+        """The JSON Lines record :meth:`TraceRecorder.load_jsonl` reads."""
+        return {"time": self.time, "kind": self.kind,
+                "subject": self.subject, "detail": self.detail}
+
 
 class TraceRecorder:
     """Collects :class:`TraceEvent` records and supports filtered queries.
@@ -116,26 +121,10 @@ class TraceRecorder:
         self.dropped_disabled = 0
         self.dropped_capacity = 0
 
-    def export_jsonl(self, path: str, kind_prefix: str = "") -> int:
-        """Write events (optionally filtered) as JSON Lines; returns count.
-
-        The comprehensive context record audits need (sec VI-B), in a form
-        external tooling can consume.
-        """
-        import json
-
-        events = self.query(kind_prefix=kind_prefix)
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps({
-                    "time": event.time, "kind": event.kind,
-                    "subject": event.subject, "detail": event.detail,
-                }, default=str) + "\n")
-        return len(events)
-
     @staticmethod
     def load_jsonl(path: str) -> "TraceRecorder":
-        """Rebuild a recorder from an exported JSONL file."""
+        """Rebuild a recorder from a JSONL file of :meth:`TraceEvent.to_dict`
+        records (a bundle's ``events.jsonl``)."""
         import json
 
         recorder = TraceRecorder()

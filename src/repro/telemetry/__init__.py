@@ -17,18 +17,16 @@ intervention.  This package provides that layer:
 * :mod:`repro.telemetry.flight` — :class:`FlightRecorder`: bounded
   per-device ring buffers of recent spans/trace events, dumped to
   stable storage on crash or quarantine (post-mortem forensics);
-* :mod:`repro.telemetry.exposition` — Prometheus text format (writer
-  *and* parser) and JSONL export of the metrics registry, plus
-  self-describing per-run telemetry bundles;
+* :mod:`repro.telemetry.exposition` — Prometheus text format, the one
+  JSONL writer, and self-describing per-run telemetry bundles;
 * :mod:`repro.telemetry.warehouse` — the E24 cross-run layer: an
   embedded append-only warehouse of ingested bundles/bench documents
   with a query API and the regression sentinel CI gates on.
 """
 
 from repro.telemetry.explain import Explanation, explain
-from repro.telemetry.exposition import (BUNDLE_SCHEMA, metrics_jsonl,
-                                        parse_prometheus_text,
-                                        prometheus_text, write_bundle)
+from repro.telemetry.exposition import (BUNDLE_SCHEMA, prometheus_text,
+                                        write_bundle, write_jsonl)
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.spans import Span, SpanContext, Tracer
 
@@ -36,10 +34,9 @@ __all__ = [
     "BUNDLE_SCHEMA",
     "Explanation",
     "explain",
-    "metrics_jsonl",
-    "parse_prometheus_text",
     "prometheus_text",
     "write_bundle",
+    "write_jsonl",
     "FlightRecorder",
     "Span",
     "SpanContext",

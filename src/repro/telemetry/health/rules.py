@@ -24,7 +24,6 @@ JSONL-ready dicts for the telemetry bundle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -62,6 +61,12 @@ class Alert:
     reading: dict = field(default_factory=dict)
     resolved_at: Optional[float] = None
     trace_id: Optional[str] = None
+
+    def to_dict(self) -> dict:
+        """The ``alerts.jsonl`` row of this firing."""
+        return {"rule": self.rule.name, "severity": self.rule.severity,
+                "fired_at": self.fired_at, "resolved_at": self.resolved_at,
+                "reading": self.reading, "trace_id": self.trace_id}
 
 
 class _CompiledRule:
@@ -212,17 +217,3 @@ class AlertEngine:
         """Every firing so far (optionally of one rule), oldest first."""
         return [alert for alert in self.history
                 if name is None or alert.rule.name == name]
-
-    def export_jsonl(self) -> str:
-        """Fired/resolved alerts, one JSON object per line (bundle-ready)."""
-        lines = []
-        for alert in self.history:
-            lines.append(json.dumps({
-                "rule": alert.rule.name,
-                "severity": alert.rule.severity,
-                "fired_at": alert.fired_at,
-                "resolved_at": alert.resolved_at,
-                "reading": alert.reading,
-                "trace_id": alert.trace_id,
-            }, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -243,15 +243,6 @@ class Tracer:
         self.spans.clear()
         self.dropped = 0
 
-    def export_jsonl(self, path: str) -> int:
-        """Write retained spans as JSON Lines; returns the count."""
-        import json
-
-        with open(path, "w", encoding="utf-8") as handle:
-            for span in self.spans:
-                handle.write(json.dumps(span.to_dict(), default=str) + "\n")
-        return len(self.spans)
-
     @staticmethod
     def load_jsonl(path: str) -> "Tracer":
         """Rebuild a (query-only) tracer from an exported JSONL file."""

@@ -2,13 +2,14 @@
 
 Three artifact shapes, one normalized record each:
 
-* a **telemetry bundle** directory (``manifest.json`` + ``metrics.prom``
-  + the JSONL streams) — identity comes from the self-describing
-  manifest (E24 satellite) unless the caller overrides it; the
-  Prometheus snapshot is parsed back into typed families and flattened;
-  alert/lease/access stream lengths and flight-recorder dumps become
-  counts; a stored ``explanation.json`` (an E19 incident tree) rides
-  along whole so incidents diff across runs;
+* a **telemetry bundle** directory (``manifest.json`` + the JSONL
+  streams it lists) — identity comes from the self-describing manifest
+  (E24 satellite) unless the caller overrides it; each ``metrics.jsonl``
+  snapshot lands its ``value`` under the registry name and every other
+  numeric field under ``<name>.<field>`` (``net.latency.p99``); every
+  listed ``.jsonl`` stream's length becomes a ``streams.<stem>`` count;
+  a stored ``explanation.json`` (an E19 incident tree) rides along
+  whole so incidents diff across runs;
 * a **``BENCH_*.json``** document — every numeric leaf flattens into a
   metric (``concurrency.throughput_rps``), every ``quick`` flag folds
   into the protocol context the sentinel's comparability check reads;
@@ -22,8 +23,7 @@ import json
 import os
 from typing import Optional
 
-from repro.telemetry.exposition import (BUNDLE_SCHEMA, flatten_families,
-                                        parse_prometheus_text)
+from repro.telemetry.exposition import BUNDLE_SCHEMA
 from repro.telemetry.warehouse.records import (RunKey, RunRecord,
                                                flatten_numeric)
 
@@ -32,23 +32,10 @@ from repro.telemetry.warehouse.records import (RunKey, RunRecord,
 #: the caller).
 KNOWN_BUNDLE_SCHEMAS = (0, BUNDLE_SCHEMA)
 
-#: JSONL streams counted (not parsed wholesale) at bundle ingest.
-_STREAM_FILES = ("alerts.jsonl", "leases.jsonl", "api_access.jsonl",
-                 "access.jsonl", "spans.jsonl", "events.jsonl")
-
 #: Manifest keys copied into record context when scalar.
 _CONTEXT_KEYS = ("scenario", "service", "durability", "safety_transport",
                  "flight_dumps", "health", "reputation", "quick",
                  "events_processed", "sim_time", "profile")
-
-
-def _count_lines(path: str) -> int:
-    count = 0
-    with open(path, "rb") as handle:
-        for line in handle:
-            if line.strip():
-                count += 1
-    return count
 
 
 def ingest_bundle(warehouse, dirpath: str,
@@ -81,16 +68,19 @@ def ingest_bundle(warehouse, dirpath: str,
     )
 
     metrics: dict = {}
-    prom_path = os.path.join(dirpath, "metrics.prom")
-    if os.path.exists(prom_path):
-        with open(prom_path, encoding="utf-8") as handle:
-            metrics.update(flatten_families(
-                parse_prometheus_text(handle.read())))
-    for stream in _STREAM_FILES:
-        stream_path = os.path.join(dirpath, stream)
-        if os.path.exists(stream_path):
-            metrics[f"streams.{stream.rsplit('.', 1)[0]}"] = float(
-                _count_lines(stream_path))
+    for name in manifest.get("files", ()):
+        stem, ext = os.path.splitext(name)
+        if ext != ".jsonl":
+            continue
+        with open(os.path.join(dirpath, name), encoding="utf-8") as handle:
+            lines = [line for line in handle if line.strip()]
+        metrics[f"streams.{stem}"] = float(len(lines))
+        if stem == "metrics":
+            for line in lines:
+                snapshot = json.loads(line)
+                metric = snapshot.pop("name")
+                flatten_numeric(snapshot.pop("value", None), metric, metrics)
+                flatten_numeric(snapshot, metric, metrics)
     horizon = manifest.get("horizon", manifest.get("sim_time"))
     if isinstance(horizon, (int, float)):
         metrics["run.horizon"] = float(horizon)

@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.telemetry.exposition import _atomic_write_text
 from repro.telemetry.warehouse.query import median
 
 #: Trajectory document schema.
@@ -249,19 +250,6 @@ def compare_runs(baseline, candidate, comparable: Optional[bool] = None,
 # -- the longitudinal record ---------------------------------------------------
 
 
-def _atomic_write_json(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def load_trajectory(path: str) -> dict:
     """The trajectory document (a fresh empty one when absent/damaged)."""
     if os.path.exists(path):
@@ -306,5 +294,6 @@ def update_trajectory(warehouse, path: str,
     document["points"] = [existing for existing in document["points"]
                           if existing.get("git_rev") != git_rev]
     document["points"].append(point)
-    _atomic_write_json(path, document)
+    _atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True,
+                                        default=str) + "\n")
     return document

@@ -235,6 +235,25 @@ class TestBatch:
         plane.close()
 
 
+    @pytest.mark.parametrize("rows, detail", [
+        ('[{"heat": 500}]', "row 0: heat: 500.0 above bound 200.0"),
+        ('[{}, {"heat": 1e400}]', "row 1: heat: inf above bound 200.0"),
+        ('[{}, {}, {"civilians_near": -3}]',
+         "row 2: civilians_near: -3 below bound 0"),
+        ('[{}, {"speed": -1.0}, {"heat": 500}]',
+         "row 1: speed: -1.0 below bound 0.0"),
+    ])
+    def test_out_of_range_rows_are_refused_like_evaluate(self, rows, detail):
+        plane, _ = make_plane()
+        evaluator = plane.batch_evaluator
+        response = plane.handle_request(
+            "POST", "/batch", body=('{"rows": %s}' % rows).encode("utf-8"))
+        assert (response.status, response.reason) == (400, "bad-request")
+        assert response.payload["detail"] == detail
+        assert evaluator.decisions == 0      # nothing was evaluated
+        plane.close()
+
+
 class TestJobsEndpoint:
     def test_submit_links_job_to_the_request_trace(self):
         plane, _ = make_plane()
@@ -479,87 +498,17 @@ class TestQueryEndpoint:
         plane.close()
 
 
-class TestAccessLogRotation:
-    """E24 satellite: the file-mode access log rotates by size."""
-
-    def _record(self, n=0) -> dict:
-        return {"endpoint": "evaluate", "status": 200, "n": n,
-                "padding": "x" * 64}
-
-    def test_rotates_and_keeps_bounded_generations(self, tmp_path):
+class TestAccessLogStream:
+    def test_stream_appends_every_record_across_restarts(self, tmp_path):
         from repro.api.accesslog import AccessLog
 
         path = str(tmp_path / "access.jsonl")
-        log = AccessLog(capacity=10, path=path, max_bytes=256, rotations=2)
-        for n in range(20):
-            log.log(self._record(n))
-        log.close()
-        assert log.rotated >= 2
-        assert os.path.exists(path)
-        assert os.path.exists(path + ".1")
-        assert os.path.exists(path + ".2")
-        assert not os.path.exists(path + ".3")      # oldest dropped
-        assert os.path.getsize(path) < 256 + 128    # fresh after last roll
-
-    def test_no_record_lost_across_generations(self, tmp_path):
-        from repro.api.accesslog import AccessLog
-
-        path = str(tmp_path / "access.jsonl")
-        log = AccessLog(capacity=100, path=path, max_bytes=300,
-                        rotations=10)
-        total = 25
-        for n in range(total):
-            log.log(self._record(n))
-        log.close()
-        seen = []
-        for candidate in [path] + [f"{path}.{i}" for i in range(1, 11)]:
-            if os.path.exists(candidate):
-                with open(candidate, encoding="utf-8") as handle:
-                    seen.extend(json.loads(line)["n"]
-                                for line in handle if line.strip())
-        assert sorted(seen) == list(range(total))
-
-    def test_restart_counts_existing_bytes(self, tmp_path):
-        from repro.api.accesslog import AccessLog
-
-        path = str(tmp_path / "access.jsonl")
-        first = AccessLog(capacity=10, path=path, max_bytes=10_000)
-        first.log(self._record())
-        first.close()
-        existing = os.path.getsize(path)
-        second = AccessLog(capacity=10, path=path, max_bytes=existing + 1)
-        assert second.rotated == 0
-        second.log(self._record())                  # crosses the threshold
-        assert second.rotated == 1
-        second.close()
-
-    def test_no_max_bytes_never_rotates(self, tmp_path):
-        from repro.api.accesslog import AccessLog
-
-        path = str(tmp_path / "access.jsonl")
-        log = AccessLog(capacity=10, path=path)
-        for n in range(50):
-            log.log(self._record(n))
-        log.close()
-        assert log.rotated == 0
-        assert not os.path.exists(path + ".1")
-
-    def test_plane_config_wires_rotation(self, tmp_path):
-        path = str(tmp_path / "api_access.jsonl")
-        plane, _ = make_plane(access_log_path=path,
-                              access_log_max_bytes=200,
-                              access_log_rotations=2)
-        for _ in range(10):
-            post(plane, "/evaluate",
-                 {"event": {"kind": "mgmt.command.move"}})
-        plane.close()
-        assert plane.access.rotated >= 1
-        assert os.path.exists(path + ".1")
-
-    def test_bad_rotation_params_rejected(self):
-        from repro.api.accesslog import AccessLog
-
-        with pytest.raises(ValueError):
-            AccessLog(max_bytes=0)
-        with pytest.raises(ValueError):
-            AccessLog(rotations=0)
+        for first in (0, 3):
+            log = AccessLog(capacity=2, path=path)
+            for n in range(first, first + 3):
+                log.log({"endpoint": "evaluate", "n": n})
+            log.close()
+        with open(path, encoding="utf-8") as handle:
+            assert [json.loads(line)["n"] for line in handle] == list(
+                range(6))
+        assert [record["n"] for record in log.tail()] == [4, 5]

@@ -14,6 +14,7 @@ from repro.core.persistence import (
 )
 from repro.core.policy import Policy, PolicySet
 from repro.errors import PolicyError
+from repro.telemetry.exposition import write_jsonl
 
 from tests.conftest import make_test_device
 
@@ -130,7 +131,8 @@ class TestTraceExport:
         recorder.record(1.0, "a.b", "dev1", value=1)
         recorder.record(2.0, "c", "dev2")
         path = os.path.join(tmp_path, "trace.jsonl")
-        count = recorder.export_jsonl(path)
+        count = write_jsonl(path, (event.to_dict()
+                                   for event in recorder.events))
         assert count == 2
         loaded = TraceRecorder.load_jsonl(path)
         assert len(loaded.events) == 2
@@ -144,4 +146,7 @@ class TestTraceExport:
         recorder.record(1.0, "keep.this", "s")
         recorder.record(2.0, "drop.this", "s")
         path = os.path.join(tmp_path, "trace.jsonl")
-        assert recorder.export_jsonl(path, kind_prefix="keep") == 1
+        kept = recorder.query(kind_prefix="keep")
+        assert write_jsonl(path, (event.to_dict() for event in kept)) == 1
+        loaded = TraceRecorder.load_jsonl(path)
+        assert [event.kind for event in loaded.events] == ["keep.this"]

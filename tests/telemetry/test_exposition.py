@@ -1,4 +1,4 @@
-"""Prometheus text rendering, metrics JSONL, and the run bundle."""
+"""Prometheus text rendering, the JSONL writer, and the run bundle."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.simulator import Simulator
 from repro.telemetry.exposition import (
     BUNDLE_SCHEMA,
-    flatten_families,
-    metrics_jsonl,
-    parse_prometheus_text,
     prometheus_text,
     sanitize_metric_name,
     write_bundle,
+    write_jsonl,
 )
 
 
@@ -188,19 +186,48 @@ class TestHeaderDedupe:
         assert "# HELP net_sent net.sent" in prometheus_text(registry)
 
 
+def _registry_records(registry):
+    return ({"name": name, **snap}
+            for name, snap in registry.snapshot().items())
+
+
 class TestMetricsJsonl:
     def test_one_line_per_metric_with_snapshot(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("net.sent").inc(2)
         registry.gauge("depth").set(1.0)
         path = str(tmp_path / "metrics.jsonl")
-        assert metrics_jsonl(registry, path) == 2
+        assert write_jsonl(path, _registry_records(registry)) == 2
         lines = [json.loads(line)
                  for line in open(path, encoding="utf-8") if line.strip()]
         by_name = {line["name"]: line for line in lines}
         assert by_name["net.sent"]["value"] == 2.0
         assert by_name["net.sent"]["type"] == "counter"
         assert by_name["depth"]["type"] == "gauge"
+
+    def test_lines_are_sorted_key_json_with_str_fallback(self, tmp_path):
+        path = str(tmp_path / "rows.jsonl")
+        assert write_jsonl(path, [{"b": 1, "a": {"z": 2, "y": 3}},
+                                  {"when": MetricsRegistry}]) == 2
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert lines[0] == '{"a": {"y": 3, "z": 2}, "b": 1}'
+        assert json.loads(lines[1]) == {"when": str(MetricsRegistry)}
+
+    def test_timeseries_snapshot_lands_in_the_bundle(self, tmp_path):
+        # TimeSeries had no snapshot(), so a run recording one (towers,
+        # aggregate monitors) could not write metrics.jsonl at all.
+        sim = Simulator(seed=1)
+        series = sim.metrics.timeseries("aggregate.heat")
+        series.record(0.0, 3.0)
+        series.record(1.0, 2.0)
+        directory = str(tmp_path / "b")
+        write_bundle(sim, directory)
+        with open(os.path.join(directory, "metrics.jsonl"),
+                  encoding="utf-8") as handle:
+            (row,) = [json.loads(line) for line in handle]
+        assert row == {"name": "aggregate.heat", "type": "timeseries",
+                       "last": 2.0, "peak": 3.0, "count": 2}
 
 
 class TestBundle:
@@ -261,7 +288,7 @@ class TestBundle:
         # must leave every first-dump artifact intact and untorn.
         sim = self._busy_sim()
         directory = str(tmp_path / "bundle")
-        write_bundle(sim, directory)
+        write_bundle(sim, directory, streams={"alerts": [{"rule": "hot"}]})
         before = {}
         for name in os.listdir(directory):
             with open(os.path.join(directory, name), encoding="utf-8") as fh:
@@ -291,11 +318,25 @@ class TestBundle:
                       encoding="utf-8") as fh:
                 assert fh.read() == before[name], name
 
+        # A caller stream whose records raise mid-iteration: its previous
+        # file and the manifest stay byte-identical, no temp file is left.
+        def exploding_rows():
+            yield {"rule": "new"}
+            raise RuntimeError("alert source fell over")
+
+        with pytest.raises(RuntimeError):
+            write_bundle(sim, directory, streams={"alerts": exploding_rows()})
+        for name in ("alerts.jsonl", "manifest.json"):
+            with open(os.path.join(directory, name),
+                      encoding="utf-8") as fh:
+                assert fh.read() == before[name], name
+        assert sorted(os.listdir(directory)) == sorted(before)
+
     def test_metrics_jsonl_failure_keeps_old_file(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("ok").inc()
         path = str(tmp_path / "metrics.jsonl")
-        metrics_jsonl(registry, path)
+        write_jsonl(path, _registry_records(registry))
         with open(path, encoding="utf-8") as fh:
             original = fh.read()
 
@@ -305,10 +346,38 @@ class TestBundle:
 
         registry._metrics["boom"] = Exploding()
         with pytest.raises(RuntimeError):
-            metrics_jsonl(registry, path)
+            write_jsonl(path, _registry_records(registry))
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == original
         assert not os.path.exists(path + ".tmp")
+
+    def test_every_bundle_file_is_in_its_manifest(self, tmp_path):
+        from repro.api.runtime import ManualClock
+        from repro.api.service import ControlPlane, ControlPlaneConfig
+        from repro.scenarios.confrontation import (
+            ConfrontationScenario, ThreatConfig)
+        from repro.scenarios.harness import SafeguardConfig
+
+        scenario = ConfrontationScenario(
+            seed=5, config=SafeguardConfig.full(),
+            threats=ThreatConfig(worm=True, worm_time=5.0,
+                                 worm_initial_targets=1),
+            safety_transport="reliable", health=True)
+        confrontation = str(tmp_path / "confrontation")
+        scenario.run(until=15.0, telemetry_dir=confrontation)
+        plane = ControlPlane(config=ControlPlaneConfig(workers=0),
+                             clock=ManualClock())
+        plane.handle_request("GET", "/health")
+        control_plane = str(tmp_path / "control-plane")
+        plane.export_bundle(control_plane)
+        plane.close()
+        for directory in (confrontation, control_plane):
+            with open(os.path.join(directory, "manifest.json"),
+                      encoding="utf-8") as handle:
+                files = json.load(handle)["files"]
+            assert "alerts.jsonl" in files
+            assert sorted(os.listdir(directory)) == sorted(files)
+        assert "access.jsonl" in files
 
     def test_scenario_export_telemetry(self, tmp_path):
         from repro.scenarios.confrontation import (
@@ -334,87 +403,6 @@ class TestBundle:
         # The E18 storage-pressure gauges ride along in the exposition.
         assert "store_appends" in prom
         assert "store_bytes_written" in prom
-
-
-# -- the exposition parser (E24): prometheus_text's inverse -------------------------
-
-
-class TestParsePrometheusText:
-    def _registry(self) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        registry.counter("net.sent").inc(3)
-        registry.gauge("queue.depth").set(2.5)
-        histogram = registry.histogram("rtt")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        series = registry.timeseries("compromised")
-        series.record(0.0, 1.0)
-        series.record(5.0, 3.0)
-        return registry
-
-    def test_round_trip_families_and_types(self):
-        families = parse_prometheus_text(prometheus_text(self._registry()))
-        assert families["net_sent"]["type"] == "counter"
-        assert families["queue_depth"]["type"] == "gauge"
-        assert families["rtt"]["type"] == "summary"
-        assert "_errors" not in families
-
-    def test_round_trip_values(self):
-        families = parse_prometheus_text(prometheus_text(self._registry()))
-        (sample,) = families["net_sent"]["samples"]
-        assert sample == {"name": "net_sent", "labels": {}, "value": 3.0}
-        samples = {(sample["name"],
-                    tuple(sorted(sample["labels"].items()))): sample["value"]
-                   for sample in families["rtt"]["samples"]}
-        assert samples[("rtt_sum", ())] == 10.0
-        assert samples[("rtt_count", ())] == 4.0
-        assert samples[("rtt", (("quantile", "0.5"),))] == 2.5
-
-    def test_sum_count_attach_to_their_summary_family(self):
-        families = parse_prometheus_text(prometheus_text(self._registry()))
-        assert "rtt_sum" not in families
-        assert "rtt_count" not in families
-        names = {sample["name"] for sample in families["rtt"]["samples"]}
-        assert names == {"rtt", "rtt_sum", "rtt_count"}
-
-    def test_label_escapes_round_trip(self):
-        text = ('# TYPE weird summary\n'
-                'weird{quantile="0.5",note="a\\"b\\\\c\\nd"} 1.0\n')
-        families = parse_prometheus_text(text)
-        (sample,) = families["weird"]["samples"]
-        assert sample["labels"]["note"] == 'a"b\\c\nd'
-
-    def test_bad_lines_collected_not_fatal(self):
-        text = ("# TYPE good counter\n"
-                "good 1.0\n"
-                "this is not a sample line at all {\n"
-                "also_good 2.0\n")
-        families = parse_prometheus_text(text)
-        assert families["good"]["samples"][0]["value"] == 1.0
-        assert families["also_good"]["samples"][0]["value"] == 2.0
-        assert len(families["_errors"]) == 1
-
-    def test_empty_and_comment_only_input(self):
-        assert parse_prometheus_text("") == {}
-        assert parse_prometheus_text("# just a comment\n\n") == {}
-
-    def test_flatten_families_drops_nan_and_labels_quantiles(self):
-        flat = flatten_families(
-            parse_prometheus_text(prometheus_text(self._registry())))
-        assert flat["net_sent"] == 3.0
-        assert flat["queue_depth"] == 2.5
-        assert flat["rtt.quantile=0.5"] == 2.5
-        assert flat["rtt_sum"] == 10.0
-        assert flat["compromised_peak"] == 3.0
-        assert all(value == value for value in flat.values())
-
-    def test_flatten_skips_empty_histogram_nans(self):
-        registry = MetricsRegistry()
-        registry.histogram("idle")                  # quantiles are NaN
-        flat = flatten_families(
-            parse_prometheus_text(prometheus_text(registry)))
-        assert "idle.quantile=0.5" not in flat
-        assert flat["idle_count"] == 0.0
 
 
 class TestSelfDescribingManifest:

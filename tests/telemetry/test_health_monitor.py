@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.simulator import Simulator
+from repro.telemetry.exposition import write_jsonl
 from repro.telemetry.health import (AlertEngine, AlertRule, HealthMonitor)
 
 
@@ -220,7 +221,7 @@ class TestAlertEngine:
         assert kinds == ["alert.fire", "alert.resolve"]
         audit.verify()
 
-    def test_export_jsonl_round_trips(self):
+    def test_export_jsonl_round_trips(self, tmp_path):
         import json
 
         sim, monitor, engine = self.make_engine(
@@ -228,9 +229,11 @@ class TestAlertEngine:
         readings = iter([60.0, 10.0])
         monitor.track_value("temp", lambda _now: next(readings, 10.0))
         sim.run(until=3.0)
-        lines = engine.export_jsonl().strip().splitlines()
-        assert len(lines) == 1
-        row = json.loads(lines[0])
+        path = str(tmp_path / "alerts.jsonl")
+        assert write_jsonl(path, (alert.to_dict()
+                                  for alert in engine.history)) == 1
+        with open(path, encoding="utf-8") as handle:
+            (row,) = [json.loads(line) for line in handle]
         assert row["rule"] == "hot" and row["severity"] == "warning"
         assert row["fired_at"] == 1.0 and row["resolved_at"] == 2.0
         assert row["reading"] == {"temp": 60.0}

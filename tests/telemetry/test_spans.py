@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.simulator import Simulator
+from repro.telemetry.exposition import write_jsonl
 from repro.telemetry.spans import Span, SpanContext, Tracer
 
 
@@ -147,7 +148,8 @@ class TestQueriesAndExport:
     def test_export_and_load_jsonl(self, tmp_path):
         tracer = self._populated()
         path = str(tmp_path / "spans.jsonl")
-        assert tracer.export_jsonl(path) == 3
+        assert write_jsonl(path, (span.to_dict()
+                                  for span in tracer.spans)) == 3
         loaded = Tracer.load_jsonl(path)
         assert [span.to_dict() for span in loaded.spans] == [
             span.to_dict() for span in tracer.spans

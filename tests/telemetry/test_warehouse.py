@@ -450,10 +450,40 @@ class TestIngest:
         warehouse = Warehouse(str(tmp_path / "wh"))
         rec = ingest_bundle(warehouse, _bundle_dir(tmp_path))
         assert rec.key == RunKey("unit", "full", 3, "unknown")
-        assert rec.metrics["work_done"] == 5.0          # parsed from .prom
+        assert rec.metrics["work.done"] == 5.0     # read from metrics.jsonl
         assert rec.metrics["streams.events"] > 0
         assert rec.metrics["run.horizon"] == 5.0
         assert rec.context["bundle_schema"] == 1
+
+    def test_bundle_metrics_are_the_flattened_registry_snapshot(
+            self, tmp_path):
+        from repro.sim.simulator import Simulator
+        from repro.telemetry.exposition import write_bundle
+
+        sim = Simulator(seed=1)
+        sim.metrics.counter("work.done").inc(5)
+        sim.metrics.gauge("queue.depth").set(2.5)
+        for value in (0.1, 0.3, 0.05, 0.4):
+            sim.metrics.histogram("net.latency").observe(value)
+        sim.metrics.histogram("idle.latency")           # empty: p* are None
+        sim.metrics.timeseries("aggregate.heat").record(0.0, 7.0)
+        directory = str(tmp_path / "bundle")
+        write_bundle(sim, directory)
+        rec = ingest_bundle(Warehouse(str(tmp_path / "wh")), directory)
+
+        expected = {}
+        for name, snap in sim.metrics.snapshot().items():
+            for field, value in snap.items():
+                if field != "type" and value is not None:
+                    key = name if field == "value" else f"{name}.{field}"
+                    expected[key] = float(value)
+        ingested = {name: value for name, value in rec.metrics.items()
+                    if not name.startswith(("streams.", "run."))}
+        assert ingested == expected
+        assert rec.metrics["net.latency.p99"] == (
+            sim.metrics.histogram("net.latency").quantile(0.99))
+        assert "idle.latency.p50" not in rec.metrics
+        assert rec.metrics["streams.metrics"] == 5.0
 
     def test_bundle_reingest_is_noop(self, tmp_path):
         warehouse = Warehouse(str(tmp_path / "wh"))
