@@ -126,7 +126,9 @@ def test_e19_causal_reconstruction(experiment):
                   len(explanation.subjects()))
     experiment(table)
 
-    with open(os.path.join(BUNDLE_DIR, "explanation.txt"), "w",
+    # Beside the bundle, not in it: the bundle holds exactly the files
+    # its manifest lists.
+    with open(os.path.join(RESULTS_DIR, "E19a_explanation.txt"), "w",
               encoding="utf-8") as handle:
         handle.write(explanation.render() + "\n")
 

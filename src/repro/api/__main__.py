@@ -8,8 +8,9 @@ Examples::
 
 ``--smoke`` starts the server on an ephemeral port, drives one request
 through every endpoint (including a ``/jobs`` round-trip, an
-``/explain`` replay of its own ``/evaluate`` trace, and a ``/batch``
-row past a declared bound, which must be refused), prints a JSON
+``/explain`` replay of its own ``/evaluate`` trace, and two ``/batch``
+rows ``/evaluate`` would refuse — one past a declared bound, one with a
+string for a bool — which must be refused), prints a JSON
 report, and exits non-zero on any failure — the CI smoke job's entry
 point.
 """
@@ -122,6 +123,8 @@ def run_smoke(plane: ControlPlane) -> int:
               {"rows": [{"heat": 20.0}, {"heat": 130.0}]})
         check("batch-out-of-range", "POST", "/batch",
               {"rows": [{"heat": 500.0}]}, expect=400)
+        check("batch-coerced", "POST", "/batch",
+              {"rows": [{"weapon_armed": "no"}]}, expect=400)
         check("audit", "GET", "/audit")
         if plane.warehouse is not None:
             check("query", "POST", "/query", {"op": "stats"})

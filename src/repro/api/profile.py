@@ -2,11 +2,14 @@
 
 A profile bundles everything one guarded decision needs: the declared
 :class:`~repro.core.state.StateSpace`, the policy set, the action
-library with safe alternatives, the sec VI-B safeness classifier, and
-the matching batch programs for the vectorized ``/batch`` path.  The
-service hosts one profile per process; :func:`default_profile` builds a
-paper-flavoured patrol-drone profile so ``python -m repro.api`` answers
-real guarded decisions out of the box.
+library with safe alternatives, and the sec VI-B safeness classifier.
+The vectorized ``/batch`` path states no decisions of its own: its
+programs are compiled from the same policy set, in the engine's
+resolution order (:meth:`~repro.core.policy.PolicySet.ordered`), so a
+row picks the policy ``/evaluate`` would pick for that policy's event.
+The service hosts one profile per process; :func:`default_profile`
+builds a paper-flavoured patrol-drone profile so ``python -m repro.api``
+answers real guarded decisions out of the box.
 
 The default profile is deliberately adversary-shaped: ``engage`` sets a
 bool (so the batch compiler *must* fall back and the per-response
@@ -18,13 +21,13 @@ classifier's bad region is reachable from the default state in two
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.actions import Action, ActionLibrary, Effect
 from repro.core.device import Actuator, Device
 from repro.core.policy import Policy, PolicySet
-from repro.safeguards.batch import BatchPolicyEvaluator, BatchProgram
+from repro.safeguards.batch import BatchPolicyEvaluator
 from repro.safeguards.statespace import StateSpaceGuard
 from repro.core.state import StateSpace, StateVariable
 from repro.statespace.classifier import SafenessClassifier, ThresholdBand, ThresholdClassifier
@@ -39,7 +42,6 @@ class EvaluationProfile:
     policies: PolicySet
     actions: ActionLibrary
     classifier: SafenessClassifier
-    batch_programs: list = field(default_factory=list)
     initial_state: Optional[dict] = None
 
     def build_device(self, device_id: str = "api-device",
@@ -61,8 +63,8 @@ class EvaluationProfile:
         return device
 
     def build_batch_evaluator(self) -> BatchPolicyEvaluator:
-        """A fresh vectorized evaluator over this profile's programs."""
-        return BatchPolicyEvaluator(self.space, self.batch_programs,
+        """A fresh vectorized evaluator compiled from this profile's policies."""
+        return BatchPolicyEvaluator(self.space, self.policies.ordered(),
                                     classifier=self.classifier)
 
 
@@ -99,7 +101,13 @@ def default_profile() -> EvaluationProfile:
     hold = Action("hold", description="refuse to act (explicit safe no-op)")
     actions = ActionLibrary([advance, vent_heat, engage, hold])
 
+    # Venting is listed first: among the equal-priority policies, /batch
+    # (which has no event to narrow them) tries it before moving or
+    # engaging.
     policies = PolicySet([
+        Policy.make("sensor.overheat", "heat > 110", vent_heat,
+                    priority=10, source="human", author="operator",
+                    policy_id="vent-on-overheat"),
         Policy.make("mgmt.command.move", "battery > 10", advance,
                     priority=10, source="human", author="operator",
                     policy_id="move-when-charged"),
@@ -112,9 +120,6 @@ def default_profile() -> EvaluationProfile:
         Policy.make("sensor.threat", None, hold, priority=1,
                     source="human", author="operator",
                     policy_id="hold-near-civilians"),
-        Policy.make("sensor.overheat", "heat > 110", vent_heat,
-                    priority=10, source="human", author="operator",
-                    policy_id="vent-on-overheat"),
     ])
 
     classifier = ThresholdClassifier([
@@ -122,19 +127,7 @@ def default_profile() -> EvaluationProfile:
         ThresholdBand("battery", safe_low=15.0, hard_low=5.0),
     ])
 
-    batch_programs = [
-        BatchProgram("vent-on-overheat", "heat > 110", vent_heat.effects),
-        BatchProgram("move-when-charged", "battery > 10", advance.effects),
-        # The bool effect cannot vectorize: this program is the standing
-        # proof that /batch surfaces fallback reasons instead of hiding
-        # a silent demotion to scalar dispatch.
-        BatchProgram("engage-when-clear", "civilians_near == 0",
-                     engage.effects),
-        BatchProgram("hold", "true", ()),
-    ]
-
     return EvaluationProfile(
         name="patrol-drone", space=space, policies=policies, actions=actions,
-        classifier=classifier, batch_programs=batch_programs,
-        initial_state={},
+        classifier=classifier, initial_state={},
     )

@@ -57,42 +57,6 @@ _REASON_STATUS = {
 }
 
 
-def _reject_out_of_range(matrix: StateMatrix) -> None:
-    """Raise :class:`ValueError` naming the first row holding NaN, an
-    infinity, or a value past a declared bound.
-
-    JSON ``null`` and ``NaN`` land in a float column as NaN, and NaN
-    fails every comparison a guard makes; one vectorized pass per
-    numeric column keeps the check off the per-row path.  The message
-    is :meth:`StateVariable.validate`'s, the words ``/evaluate`` answers
-    with.
-    """
-    np = matrix.np
-    first = None
-    for name, col in matrix.columns.items():
-        var = matrix.space.variable(name)
-        if var.kind not in ("float", "int"):
-            continue
-        bad = ~np.isfinite(col)                  # all False for ints
-        if var.low is not None:
-            bad |= col < var.low
-        if var.high is not None:
-            bad |= col > var.high
-        if bad.any():
-            row = int(bad.argmax())
-            if first is None or row < first[0]:
-                first = (row, name)
-    if first is None:
-        return
-    row, name = first
-    value = matrix.columns[name][row].item()
-    try:
-        matrix.space.variable(name).validate(value)
-    except StateError as exc:
-        raise ValueError(f"row {row}: {exc}") from None
-    raise ValueError(f"row {row}: {name}: {value} is not finite")
-
-
 class ApiResponse:
     """One transport-agnostic response: status + payload + trace id."""
 
@@ -427,12 +391,7 @@ class ControlPlane:
                           "limit": self.config.batch_row_limit},
                     "too-many-rows")
         try:
-            if set(map(type, rows)) != {dict}:
-                index = next(i for i, row in enumerate(rows)
-                             if type(row) is not dict)
-                raise ValueError(f"row {index}: not a JSON object")
             matrix = StateMatrix.from_rows(self.profile.space, rows)
-            _reject_out_of_range(matrix)
         except ValueError as exc:
             return (400, {"error": "bad-request", "detail": str(exc)},
                     "bad-request")

@@ -162,6 +162,16 @@ class PolicySet:
     def by_source(self, source: str) -> list[Policy]:
         return [p for p in self._policies.values() if p.source == source]
 
+    def ordered(self) -> list[Policy]:
+        """Every policy in resolution order: priority descending, then
+        insertion sequence — the key :meth:`applicable` sorts its hits by,
+        so the policies applicable to any event are an order-preserving
+        subset of this list."""
+        seq = {policy_id: n for bucket in self._by_root.values()
+               for policy_id, n in bucket.items()}
+        return sorted(self._policies.values(),
+                      key=lambda p: (-p.priority, seq[p.policy_id]))
+
     def applicable(self, event: Event, state: dict) -> list[Policy]:
         """All policies that fire for this event+state, highest priority first.
 

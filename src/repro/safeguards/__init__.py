@@ -16,11 +16,7 @@ Each module implements one mechanism as a :class:`~repro.core.engine.Safeguard`
   in front of device actuators, with budgets/cooldowns/global freeze)
 """
 
-from repro.safeguards.batch import (
-    BatchPolicyEvaluator,
-    BatchProgram,
-    compile_condition,
-)
+from repro.safeguards.batch import BatchPolicyEvaluator, compile_condition
 from repro.safeguards.crossvalidation import CrossValidationGuard
 from repro.safeguards.collection import (
     AggregateConstraint,
@@ -52,7 +48,6 @@ from repro.safeguards.utility import PartialDerivativeUtility, UtilityGuard
 __all__ = [
     "ActuationGateway",
     "BatchPolicyEvaluator",
-    "BatchProgram",
     "AggregateConstraint",
     "AuthzDecision",
     "Ballot",

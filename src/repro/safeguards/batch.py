@@ -4,13 +4,16 @@ grammar plus vectorized effect application and state-space veto (F4).
 The scalar engine evaluates one ``(condition, effects, guard)`` chain per
 device per event.  At fleet scale the same chain is evaluated for tens of
 thousands of structurally identical devices every tick, so this module
-compiles a prioritized program list once and then evaluates every device
+compiles the engine's own :class:`~repro.core.policy.Policy` objects once
+(in first-match order, e.g. :meth:`PolicySet.ordered
+<repro.core.policy.PolicySet.ordered>`) and then evaluates every device
 in a handful of numpy passes:
 
 * :func:`compile_condition` lowers the condition AST
   (:mod:`repro.core.conditions`) onto whole columns via a comparator
   table (``==  !=  <  <=  >  >=`` map to elementwise ufuncs);
-* :class:`BatchPolicyEvaluator` does first-match policy selection,
+* :class:`BatchPolicyEvaluator` does first-match policy selection
+  (event patterns are not consulted: a batch has no event),
   predicted-state computation (effects compose unclamped, final values
   saturate at the declared bounds — exactly
   :meth:`~repro.core.state.DeviceState.resolve_changes`), and the sec
@@ -41,7 +44,6 @@ from __future__ import annotations
 import operator
 from typing import Callable, Optional, Sequence
 
-from repro.core.actions import Effect
 from repro.core.conditions import (
     AllOf,
     AnyOf,
@@ -52,8 +54,8 @@ from repro.core.conditions import (
     Literal,
     Not,
     TrueCondition,
-    parse_condition,
 )
+from repro.core.policy import Policy
 from repro.core.state import StateSpace
 from repro.statespace.batch import (
     BatchCompileError,
@@ -161,36 +163,34 @@ def compile_condition(condition: Condition, space: StateSpace,
 
 
 class BatchProgram:
-    """One prioritized policy program: name, condition, declared effects."""
+    """One compiled policy: its id, condition and action's declared effects."""
 
     __slots__ = ("name", "condition", "effects")
 
-    def __init__(self, name: str, condition, effects: Sequence[Effect] = ()):
-        self.name = name
-        self.condition = (parse_condition(condition)
-                          if isinstance(condition, str) else condition)
-        self.effects = tuple(effects)
-
-    def __repr__(self) -> str:
-        return f"BatchProgram({self.name!r})"
+    def __init__(self, policy: Policy):
+        self.name = policy.policy_id
+        self.condition = policy.condition
+        self.effects = policy.action.effects
 
 
 class BatchPolicyEvaluator:
     """Vectorized first-match selection + guarded effect application.
 
-    ``select`` picks the first program (by list order) whose condition
-    holds per row; ``apply`` computes each chosen program's predicted
-    state, vetoes rows whose prediction classifies BAD (unless exempt),
-    and writes the surviving changes back into the matrix.  Both have
-    scalar twins with identical semantics built on the real scalar APIs.
+    ``policies`` are compiled, in the given order, into :attr:`programs`
+    (one :class:`BatchProgram` each).  ``select`` picks the first program
+    (by list order) whose condition holds per row; ``apply`` computes
+    each chosen program's predicted state, vetoes rows whose prediction
+    classifies BAD (unless exempt), and writes the surviving changes back
+    into the matrix.  Both have scalar twins with identical semantics
+    built on the real scalar APIs.
     """
 
-    def __init__(self, space: StateSpace, programs: Sequence[BatchProgram],
+    def __init__(self, space: StateSpace, policies: Sequence[Policy],
                  classifier: Optional[SafenessClassifier] = None,
                  np_module=None):
         self.np = np_module if np_module is not None else _np
         self.space = space
-        self.programs = list(programs)
+        self.programs = [BatchProgram(policy) for policy in policies]
         self.classifier = classifier
         #: compile-time fallback accounting, reason slug -> count
         self.fallback_reasons: dict = {}
@@ -198,11 +198,8 @@ class BatchPolicyEvaluator:
         self.vector_evals = 0
         self.scalar_evals = 0
         self.decisions = 0
-        self._cond_fns: list = []
-        self._effect_plans: list = []
-        for program in self.programs:
-            self._cond_fns.append(self._compile_cond(program))
-            self._effect_plans.append(self._compile_effects(program))
+        self._cond_fns = [self._compile_cond(p) for p in self.programs]
+        self._effect_plans = [self._compile_effects(p) for p in self.programs]
         self._safeness: Optional[BatchSafeness] = None
         if classifier is not None:
             try:

@@ -54,11 +54,12 @@ from repro.crypto.envelope import CommandSigner, EnvelopeVerifier, signed_body
 from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
 from repro.net.shardnet import crc01
-from repro.safeguards.batch import BatchPolicyEvaluator, BatchProgram
+from repro.safeguards.batch import BatchPolicyEvaluator
 from repro.sim.sharding import ShardHost, ShardPlan, ShardedRun, run_sharded
 from repro.statespace.batch import StateMatrix, numpy_available
 from repro.statespace.classifier import ThresholdBand, ThresholdClassifier
-from repro.core.actions import Effect
+from repro.core.actions import Action, Effect
+from repro.core.policy import Policy
 from repro.core.state import StateSpace, StateVariable
 from repro.telemetry.spans import SpanContext
 
@@ -167,27 +168,29 @@ def fleet_classifier() -> ThresholdClassifier:
 
 
 def fleet_programs(spec: ShardedFleetSpec) -> list:
-    """The prioritized control programs every device runs per tick.
+    """The prioritized control policies every device runs per tick, in
+    first-match order (each policy's id names its action).
 
     ``strike`` never matches by condition (``false``); the worm installs
     it by overriding the selection for compromised rows — and those rows
     are guard-exempt (the compromise stripped the safeguard), which is
     exactly the harm the watchdog exists to stop."""
-    return [
-        BatchProgram("boost", "load > 0.9", [
-            Effect("temp", "add", 60.0), Effect("load", "add", -0.5)]),
-        BatchProgram("cool", "temp > 70", [Effect("temp", "add", -8.0)]),
-        BatchProgram("refuel", "fuel < 25 and load < 0.8", [
-            Effect("fuel", "add", 35.0)]),
-        BatchProgram("work", "load > 0.45 and fuel > 12", [
-            Effect("fuel", "add", -2.5), Effect("temp", "add", 3.5),
-            Effect("load", "add", -0.12)]),
-        BatchProgram("idle", "true", [
-            Effect("load", "add", 0.07), Effect("temp", "add", -1.5)]),
-        BatchProgram("strike", "false", [
-            Effect("temp", "add", spec.rogue_heat),
-            Effect("load", "add", 0.01)]),
+    table = [
+        ("boost", "load > 0.9",
+         [Effect("temp", "add", 60.0), Effect("load", "add", -0.5)]),
+        ("cool", "temp > 70", [Effect("temp", "add", -8.0)]),
+        ("refuel", "fuel < 25 and load < 0.8", [Effect("fuel", "add", 35.0)]),
+        ("work", "load > 0.45 and fuel > 12",
+         [Effect("fuel", "add", -2.5), Effect("temp", "add", 3.5),
+          Effect("load", "add", -0.12)]),
+        ("idle", "true",
+         [Effect("load", "add", 0.07), Effect("temp", "add", -1.5)]),
+        ("strike", "false",
+         [Effect("temp", "add", spec.rogue_heat), Effect("load", "add", 0.01)]),
     ]
+    return [Policy.make("fleet.tick", condition, Action(name, effects=effects),
+                        policy_id=name)
+            for name, condition, effects in table]
 
 
 STRIKE_INDEX = 5  # fleet_programs position of the worm's payload

@@ -28,8 +28,13 @@ to the scalar path when numpy is absent (:func:`numpy_available`).
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
+from operator import itemgetter
+from typing import Optional
+
 from repro.core.state import StateSpace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StateError
 from repro.statespace.classifier import (
     BoxClassifier,
     CompositeClassifier,
@@ -44,6 +49,12 @@ except ImportError:  # pragma: no cover - container always ships numpy
 
 #: Numeric variable kinds a compiled classifier may read.
 _NUMERIC_KINDS = ("float", "int")
+
+#: Per variable kind: the value types a column admits without asking
+#: ``validate`` cell by cell (``bool`` subclasses ``int`` but is refused
+#: by the numeric kinds), and the column's dtype.
+_KINDS = {"float": ({float, int}, "float64"), "int": ({int}, "int64"),
+          "bool": ({bool}, "bool"), "str": ({str}, "object")}
 
 
 def numpy_available() -> bool:
@@ -69,54 +80,45 @@ class BatchCompileError(Exception):
 class StateMatrix:
     """Column-per-variable arrays mirroring a :class:`StateSpace`.
 
-    Row ``i`` is one device's state vector; :meth:`row` materializes it
-    back into the plain-dict form every scalar API consumes (values are
-    converted to native Python scalars so ``Condition.evaluate`` and
-    ``SafenessClassifier.safeness`` see exactly what a
-    :class:`~repro.core.state.DeviceState` would hand them).
+    Built by :meth:`from_rows`.  Row ``i`` is one device's state vector;
+    :meth:`row` materializes it back into the plain-dict form every
+    scalar API consumes (values are converted to native Python scalars so
+    ``Condition.evaluate`` and ``SafenessClassifier.safeness`` see exactly
+    what a :class:`~repro.core.state.DeviceState` would hand them).
     """
 
-    def __init__(self, space: StateSpace, n_rows: int, np_module=None):
+    def __init__(self, space: StateSpace, columns: dict, n_rows: int, np):
+        self.np = np
+        self.space = space
+        #: variable name -> one ``n_rows`` array per declared variable
+        self.columns = columns
+        self.n_rows = n_rows
+
+    @classmethod
+    def from_rows(cls, space: StateSpace, rows, np_module=None) -> "StateMatrix":
+        """Build a matrix from an iterable of state-vector dicts.
+
+        Rows are admitted as a :class:`~repro.core.state.DeviceState`
+        admits a state: each must be a dict over declared names whose
+        values :meth:`StateVariable.validate
+        <repro.core.state.StateVariable.validate>` accepts, and finite; a
+        missing name keeps its default.  A refusal is a
+        :class:`ValueError` naming the lowest refused row, ``row {i}: ``
+        followed by ``validate``'s (or :meth:`StateSpace.variable`'s) own
+        words about one bad cell: an undeclared name first, else the first
+        bad variable in declaration order.
+        """
         np = np_module if np_module is not None else _np
         if np is None:
             raise ConfigurationError(
                 "numpy is required for StateMatrix; install it or use the "
                 "scalar per-device path"
             )
-        if n_rows < 0:
-            raise ConfigurationError("n_rows must be non-negative")
-        self.np = np
-        self.space = space
-        self.n_rows = int(n_rows)
-        self.columns: dict = {}
-        for var in space.variables():
-            if var.kind == "float":
-                col = np.full(self.n_rows, float(var.default), dtype=np.float64)
-            elif var.kind == "int":
-                col = np.full(self.n_rows, int(var.default), dtype=np.int64)
-            elif var.kind == "bool":
-                col = np.full(self.n_rows, bool(var.default), dtype=bool)
-            else:  # str
-                col = np.array([var.default] * self.n_rows, dtype=object)
-            self.columns[var.name] = col
-
-    @classmethod
-    def from_rows(cls, space: StateSpace, rows, np_module=None) -> "StateMatrix":
-        """Build a matrix from an iterable of state-vector dicts.
-
-        A value its column cannot hold raises :class:`ValueError` naming
-        the row index and the variable.
-        """
         rows = list(rows)
-        matrix = cls(space, len(rows), np_module=np_module)
-        try:
-            for name, col in matrix.columns.items():
-                for i, vector in enumerate(rows):
-                    if name in vector:
-                        col[i] = vector[name]
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ValueError(f"row {i}: {name}: {exc}") from None
-        return matrix
+        columns, refusal = _admit(space, rows, np)
+        if refusal is not None:
+            raise ValueError(refusal)
+        return cls(space, columns, len(rows), np)
 
     def column(self, name: str):
         try:
@@ -128,19 +130,8 @@ class StateMatrix:
 
     def row(self, i: int) -> dict:
         """Row ``i`` as a plain dict of native Python scalars."""
-        out = {}
-        for name, col in self.columns.items():
-            value = col[i]
-            kind = self.space.variable(name).kind
-            if kind == "float":
-                out[name] = float(value)
-            elif kind == "int":
-                out[name] = int(value)
-            elif kind == "bool":
-                out[name] = bool(value)
-            else:
-                out[name] = value
-        return out
+        return {name: col[i] if col.dtype == object else col[i].item()
+                for name, col in self.columns.items()}
 
     def rows(self):
         for i in range(self.n_rows):
@@ -161,6 +152,90 @@ class StateMatrix:
         if var.high is not None:
             values = np.where(values > var.high, var.high, values)
         return values
+
+
+def _admit(space: StateSpace, rows: list, np) -> tuple[dict, Optional[str]]:
+    """``(columns, refusal)`` for ``rows``: refusal is ``None`` when every
+    row is admitted, else the words naming the lowest refused row.
+
+    One pass over the rows' types and keys, then one vectorized pass per
+    column over the rows below the lowest refusal found so far.  Only a
+    cell of an unexpected type, or the one bad cell, is judged on its own.
+    """
+    limit = len(rows)
+    culprit = None                          # (name, value) of the bad cell
+    if set(map(type, rows)) - {dict}:
+        limit = next((i for i, row in enumerate(rows)
+                      if not isinstance(row, dict)), limit)
+    columns: dict = {}
+    declared = space.names()
+    if not set(declared) >= set().union(*rows[:limit]):
+        limit, culprit = next((i, (key, row[key]))
+                              for i, row in enumerate(rows)
+                              for key in row if key not in space)
+    for name in declared:
+        var = space.variable(name)
+        plain, dtype = _KINDS[var.kind]
+        try:
+            values = list(map(itemgetter(name), rows[:limit]))
+        except KeyError:                    # some row keeps the default
+            values = list(map(dict.get, rows[:limit], repeat(name),
+                              repeat(var.default)))
+        bad = None
+        if not plain.issuperset(map(type, values)):
+            bad = next((i for i, value in enumerate(values)
+                        if type(value) not in plain
+                        and _refusal(space, name, value, np)), None)
+        stored = values if bad is None else values[:bad]
+        try:
+            col = np.fromiter(stored, dtype=dtype, count=len(stored))
+        except (OverflowError, ValueError, TypeError):
+            bad = next(i for i, value in enumerate(stored)
+                       if _refusal(space, name, value, np))
+            stored = values[:bad]
+            col = np.fromiter(stored, dtype=dtype, count=bad)
+        columns[name] = col
+        if var.kind in _NUMERIC_KINDS:
+            out = ~np.isfinite(col)
+            if var.low is not None:
+                out |= col < var.low
+            if var.high is not None:
+                out |= col > var.high
+            if out.any():
+                bad = int(out.argmax())
+        elif var.allowed is not None and not var.allowed.issuperset(stored):
+            bad = next(i for i, value in enumerate(stored)
+                       if value not in var.allowed)
+        if bad is not None:
+            limit, culprit = bad, (name, values[bad])
+    if limit == len(rows):
+        return columns, None
+    if culprit is None:
+        return columns, (f"row {limit}: expected a dict, "
+                         f"got {type(rows[limit]).__name__}")
+    return columns, f"row {limit}: {_refusal(space, *culprit, np)}"
+
+
+def _refusal(space: StateSpace, name: str, value, np) -> Optional[str]:
+    """``validate``'s (or ``space.variable``'s) words for one cell, judged
+    on the value its column holds (``500`` in a float column is judged as
+    ``500.0``); ``None`` when the cell is admitted."""
+    try:
+        var = space.variable(name)
+        plain, dtype = _KINDS[var.kind]
+        if type(value) not in plain:
+            var.validate(value)        # the type words, unless a subclass
+        try:
+            value = np.array(value, dtype=dtype).item()
+        except (OverflowError, ValueError, TypeError) as exc:
+            var.validate(value)        # the bound it is past, if any
+            return f"{name}: {exc}"
+        var.validate(value)
+    except StateError as exc:
+        return str(exc)
+    if var.kind == "float" and not math.isfinite(value):
+        return f"{name}: {value} is not finite"
+    return None
 
 
 # ---------------------------------------------------------------------------

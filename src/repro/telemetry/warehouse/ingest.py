@@ -8,8 +8,6 @@ Three artifact shapes, one normalized record each:
   snapshot lands its ``value`` under the registry name and every other
   numeric field under ``<name>.<field>`` (``net.latency.p99``); every
   listed ``.jsonl`` stream's length becomes a ``streams.<stem>`` count;
-  a stored ``explanation.json`` (an E19 incident tree) rides along
-  whole so incidents diff across runs;
 * a **``BENCH_*.json``** document — every numeric leaf flattens into a
   metric (``concurrency.throughput_rps``), every ``quick`` flag folds
   into the protocol context the sentinel's comparability check reads;
@@ -96,15 +94,9 @@ def ingest_bundle(warehouse, dirpath: str,
             if name in manifest:
                 context[name] = value
 
-    explanation = None
-    explanation_path = os.path.join(dirpath, "explanation.json")
-    if os.path.exists(explanation_path):
-        with open(explanation_path, encoding="utf-8") as handle:
-            explanation = json.load(handle)
-
     record = RunRecord(key=key, kind="bundle", metrics=metrics,
                        context=context, source=os.path.normpath(dirpath),
-                       tag=tag, explanation=explanation)
+                       tag=tag)
     warehouse.ingest(record)
     return record
 

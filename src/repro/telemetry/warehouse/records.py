@@ -103,8 +103,6 @@ class RunRecord:
     source: str = ""
     tag: str = ""
     schema: int = SCHEMA_VERSION
-    #: Optional stored incident tree (``Explanation.to_dict()`` output).
-    explanation: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -124,7 +122,7 @@ class RunRecord:
     # -- (de)serialization ------------------------------------------------------
 
     def to_payload(self) -> dict:
-        payload = {
+        return {
             "schema": self.schema,
             "kind": self.kind,
             "key": self.key.to_dict(),
@@ -133,9 +131,6 @@ class RunRecord:
             "source": self.source,
             "tag": self.tag,
         }
-        if self.explanation is not None:
-            payload["explanation"] = self.explanation
-        return payload
 
     @staticmethod
     def from_payload(payload: dict) -> "RunRecord":
@@ -147,7 +142,6 @@ class RunRecord:
             source=str(payload.get("source", "")),
             tag=str(payload.get("tag", "")),
             schema=int(payload.get("schema", 0)),
-            explanation=payload.get("explanation"),
         )
 
     # -- metric access ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for policies and policy sets."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.actions import Action
 from repro.core.events import Event
@@ -174,3 +175,62 @@ class TestPolicySet:
             Policy.make("timer", None, action(), policy_id="a"),
         ])
         assert policies.snapshot() == ["a", "z"]
+
+    def test_ordered_is_priority_then_insertion_and_replace_resequences(self):
+        policies = PolicySet([
+            Policy.make("timer", None, action("a"), priority=1, policy_id="a"),
+            Policy.make("net", None, action("b"), priority=1, policy_id="b"),
+            Policy.make("*", None, action("c"), priority=5, policy_id="c"),
+        ])
+        assert [p.policy_id for p in policies.ordered()] == ["c", "a", "b"]
+        policies.replace(Policy.make("timer", None, action("a2"), priority=1,
+                                     policy_id="a"))
+        assert [p.policy_id for p in policies.ordered()] == ["c", "b", "a"]
+
+
+PATTERNS = ["*", "sensor", "sensor.smoke", "sensor.heat.high", "net",
+            "net.dispatch", "timer"]
+KINDS = ["sensor", "sensor.smoke", "sensor.heat.high", "sensor.heat",
+         "net.dispatch", "timer.tick", "other"]
+
+#: (op, slot, pattern, threshold or None, priority)
+policy_ops = st.lists(st.tuples(
+    st.sampled_from(["add", "add", "replace", "remove"]),
+    st.integers(min_value=0, max_value=50),
+    st.sampled_from(PATTERNS),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10)),
+    st.integers(min_value=-2, max_value=2)), min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy_ops,
+       st.lists(st.tuples(st.sampled_from(KINDS),
+                          st.integers(min_value=0, max_value=10)),
+                min_size=1, max_size=12))
+def test_ordered_filtered_by_applies_is_applicable(ops, probes):
+    policies = PolicySet()
+    added = 0
+    for op, slot, pattern, threshold, priority in ops:
+        condition = None if threshold is None else f"x > {threshold}"
+        ids = [policy.policy_id for policy in policies]
+        if op == "add" or not ids:
+            policy_id = f"p{added}"
+            added += 1
+        else:
+            policy_id = ids[slot % len(ids)]
+        if op == "remove" and ids:
+            policies.remove(policy_id)
+            continue
+        policy = Policy.make(pattern, condition, action(f"a{slot}"),
+                             priority=priority, policy_id=policy_id)
+        if op == "add" or not ids:
+            policies.add(policy)
+        else:
+            policies.replace(policy)
+    ordered = policies.ordered()
+    assert sorted(p.policy_id for p in ordered) == policies.snapshot()
+    for kind, x in probes:
+        event, state = Event(kind=kind), {"x": x}
+        expected = [p.policy_id for p in policies.applicable(event, state)]
+        assert [p.policy_id for p in ordered
+                if p.applies(event, state)] == expected

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actions import Effect
+from repro.core.actions import Action, Effect
 from repro.core.conditions import (
     AllOf,
     AnyOf,
@@ -28,11 +28,11 @@ from repro.core.conditions import (
     TrueCondition,
     parse_condition,
 )
+from repro.core.policy import Policy
 from repro.core.state import StateSpace, StateVariable
 from repro.safeguards.batch import (
     VECTOR_OPS,
     BatchPolicyEvaluator,
-    BatchProgram,
     compile_condition,
 )
 from repro.statespace.batch import (
@@ -63,6 +63,13 @@ def space() -> StateSpace:
 
 def matrix_from(rows):
     return StateMatrix.from_rows(space(), rows)
+
+
+def policy(name, condition, effects):
+    """A policy for the evaluator to compile (a batch has no event, so
+    the pattern is never consulted)."""
+    return Policy.make("tick", condition, Action(name, effects=effects),
+                       policy_id=name)
 
 
 # -- every grammar construct vectorizes or fails with a counted reason ---------
@@ -113,15 +120,15 @@ def test_composite_and_literal_constructs_vectorize():
 
 
 def test_evaluator_counts_condition_and_effect_fallbacks():
-    programs = [
-        BatchProgram("ok", "temp > 50", [Effect("temp", "add", -1.0)]),
-        BatchProgram("member", Comparison("mode", "in", Literal(("idle",))),
-                     [Effect("temp", "set", 0.0)]),
-        BatchProgram("intfx", "true", [Effect("count", "add", 1)]),
-        BatchProgram("boolval", "true", [Effect("temp", "set", True)]),
-        BatchProgram("ghostfx", "true", [Effect("ghost", "set", 1.0)]),
+    policies = [
+        policy("ok", "temp > 50", [Effect("temp", "add", -1.0)]),
+        policy("member", Comparison("mode", "in", Literal(("idle",))),
+               [Effect("temp", "set", 0.0)]),
+        policy("intfx", "true", [Effect("count", "add", 1)]),
+        policy("boolval", "true", [Effect("temp", "set", True)]),
+        policy("ghostfx", "true", [Effect("ghost", "set", 1.0)]),
     ]
-    evaluator = BatchPolicyEvaluator(space(), programs)
+    evaluator = BatchPolicyEvaluator(space(), policies)
     reasons = evaluator.fallback_reasons
     assert reasons["in-operator"] == 1
     assert reasons["non-float-effect"] == 1       # int target stays scalar
@@ -181,7 +188,7 @@ effect_strategy = st.builds(
               allow_infinity=False))
 
 program_strategy = st.builds(
-    lambda i, cond, effects: BatchProgram(f"p{i}", cond, effects),
+    lambda i, cond, effects: policy(f"p{i}", cond, effects),
     st.integers(min_value=0, max_value=999),
     st.one_of(condition_strategy, st.just("true"),
               st.builds(lambda a, b: f"{a} and {b}", condition_strategy,
@@ -264,7 +271,7 @@ def test_clamp_keeps_signed_zero_like_the_scalar_form():
     clamped = m.clamp("temp", np.array([-0.0, 0.0]))
     assert clamped.tobytes() == np.array([-0.0, 0.0]).tobytes()
     evaluator = BatchPolicyEvaluator(
-        space(), [BatchProgram("flip", "true", [Effect("temp", "scale", -1.0)])])
+        space(), [policy("flip", "true", [Effect("temp", "scale", -1.0)])])
     vector, scalar = matrix_from([{"temp": 0.0}]), matrix_from([{"temp": 0.0}])
     chosen = evaluator.select(vector)
     evaluator.apply(vector, chosen)
@@ -338,9 +345,9 @@ def make_classifier(kind):
 
 subset_program_strategy = st.one_of(
     program_strategy,
-    st.builds(lambda cond: BatchProgram("noop", cond, []),
+    st.builds(lambda cond: policy("noop", cond, []),
               st.one_of(condition_strategy, st.just("true"))),
-    st.builds(lambda cond, effect: BatchProgram("nonfloat", cond, [effect]),
+    st.builds(lambda cond, effect: policy("nonfloat", cond, [effect]),
               st.one_of(condition_strategy, st.just("true")),
               st.sampled_from([Effect("count", "add", 1),
                                Effect("armed", "set", True)])),
@@ -350,7 +357,7 @@ subset_program_strategy = st.one_of(
 #: catch-all ("true") program, it makes vetoes — and the guard-exempt
 #: rows that override them — common rather than rare.
 heat_program_strategy = st.builds(
-    lambda op, value: BatchProgram("heat", "true", [Effect("temp", op, value)]),
+    lambda op, value: policy("heat", "true", [Effect("temp", op, value)]),
     st.sampled_from(["set", "add"]),
     st.floats(min_value=60.0, max_value=150.0))
 
@@ -416,3 +423,65 @@ def test_state_matrix_from_rows_names_the_bad_cell():
         matrix_from([{"count": None}])
     with pytest.raises(ValueError, match=r"^row 2: count: "):
         matrix_from([{}, {}, {"count": float("inf")}])
+
+
+def test_evaluator_compiles_each_policy_in_the_given_order():
+    policies = [policy("cool", "temp > 70", [Effect("temp", "add", -8.0)]),
+                policy("idle", "true", [])]
+    evaluator = BatchPolicyEvaluator(space(), policies)
+    assert [p.name for p in evaluator.programs] == ["cool", "idle"]
+    for compiled, source in zip(evaluator.programs, policies):
+        assert compiled.condition is source.condition
+        assert compiled.effects == source.action.effects
+
+
+@pytest.mark.parametrize("rows, detail", [
+    ([{}, {"mode": "asleep"}], "row 1: mode: 'asleep' not in allowed set"),
+    ([{"mode": 3}], "row 0: mode: expected str, got int"),
+    ([{"armed": 1}], "row 0: armed: expected bool, got int"),
+    ([{"count": True}], "row 0: count: bool given for int variable"),
+    ([{"count": 2 ** 70}], "row 0: count: 1180591620717411303424 above bound 100"),
+    ([{}, {"temp": 1.0, "ghost": 2}], "row 1: state variable 'ghost' not declared"),
+    ([{}, [("temp", 1.0)]], "row 1: expected a dict, got list"),
+    # The lowest row wins; within it an undeclared name, then the first
+    # bad variable in declaration order.
+    ([{}, {"fuel": -1.0, "temp": "x"}, {"count": -1}],
+     "row 1: temp: expected float, got str"),
+    ([{"count": 5}, {"temp": 1.0, "ghost": 2, "fuel": None}, {5: 1}],
+     "row 1: state variable 'ghost' not declared"),
+])
+def test_from_rows_refuses_what_validate_refuses(rows, detail):
+    with pytest.raises(ValueError) as excinfo:
+        matrix_from(rows)
+    assert str(excinfo.value) == detail
+
+
+def test_from_rows_refuses_infinity_where_no_bound_would():
+    unbounded = StateSpace([StateVariable("x", "float", 0.0)])
+    with pytest.raises(ValueError, match=r"^row 1: x: -inf is not finite$"):
+        StateMatrix.from_rows(unbounded, [{"x": 1.0}, {"x": float("-inf")}])
+
+
+def test_from_rows_admits_validated_subclasses():
+    m = matrix_from([{"temp": np.float64(12.5), "count": 3}])
+    assert m.row(0)["temp"] == 12.5 and m.row(0)["count"] == 3
+
+
+def test_from_rows_asks_validate_only_about_the_bad_cell(monkeypatch):
+    calls = []
+    validate = StateVariable.validate
+
+    def counting(var, value):
+        calls.append((var.name, value))
+        return validate(var, value)
+
+    sp = space()        # declaring the space validates each default
+    monkeypatch.setattr(StateVariable, "validate", counting)
+    rows = [{"temp": 40.0, "fuel": 10.0 + i % 50, "load": 0.5, "count": i % 90,
+             "armed": bool(i % 2), "mode": "busy"} for i in range(512)]
+    StateMatrix.from_rows(sp, rows)
+    assert calls == []
+    rows[300] = dict(rows[300], fuel=140.0)
+    with pytest.raises(ValueError, match=r"^row 300: fuel: 140.0 above bound"):
+        StateMatrix.from_rows(sp, rows)
+    assert calls == [("fuel", 140.0)]
