@@ -142,7 +142,7 @@ def test_e19_causal_reconstruction(experiment):
         "quarantines": summary["quarantines"],
         "compromised_ever": summary["compromised_ever"],
         "bundle_dir": os.path.relpath(BUNDLE_DIR, RESULTS_DIR),
-    })
+    }, gates={"compromised_ever": "defense"})
 
 
 # -- overhead -----------------------------------------------------------------------
@@ -182,7 +182,8 @@ def test_e19_tracing_overhead(experiment):
         "events_processed": events,
         "spans_retained": spans,
         "quick": QUICK,
-    })
+    }, gates={"overhead_pct": "overhead", "best_seconds_on": "latency",
+              "best_seconds_off": "latency"})
 
     # Lazy roots keep routine traffic span-free: the retained set is the
     # causally interesting handful, not one span per heartbeat.

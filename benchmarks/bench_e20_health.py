@@ -166,7 +166,7 @@ def test_e20_adaptive_quarantine_under_transient_storms(experiment):
                       "alerts_fired": al} for s, f, a, al in rows],
         "bundle_dir": os.path.relpath(BUNDLE_DIR, RESULTS_DIR),
         "quick": QUICK,
-    })
+    }, gates={"false_quarantines_adaptive": "defense"})
 
     assert fixed_total >= 1, "storm produced no false quarantines to prevent"
     assert adaptive_total < fixed_total, (
@@ -322,7 +322,8 @@ def test_e20_monitor_overhead(experiment):
         "best_seconds_off": best_off,
         "events_processed": events,
         "quick": QUICK,
-    })
+    }, gates={"overhead_pct": "overhead", "best_seconds_on": "latency",
+              "best_seconds_off": "latency"})
 
     assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
         f"monitor overhead {overhead_pct:.2f}% exceeds "

@@ -167,7 +167,7 @@ def test_e21_forged_and_replayed_orders(experiment):
                      for s, u, g, r in rows],
         "rejects_artifact": os.path.relpath(REJECTS_PATH, RESULTS_DIR),
         "quick": QUICK,
-    })
+    }, gates={"healthy_killed_signed": "defense"})
 
     assert unsigned_killed >= 1, \
         "the unsigned arm was never subverted -- nothing to defend against"
@@ -268,7 +268,8 @@ def test_e21_crypto_overhead(experiment):
         "best_seconds_signed": best_on,
         "best_seconds_unsigned": best_off,
         "quick": QUICK,
-    })
+    }, gates={"overhead_pct": "overhead", "best_seconds_signed": "latency",
+              "best_seconds_unsigned": "latency"})
 
     assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
         f"crypto overhead {overhead_pct:.2f}% exceeds "

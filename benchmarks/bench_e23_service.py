@@ -215,7 +215,8 @@ def test_e23_concurrent_serving_with_replayable_traces(experiment):
         "access_log_artifact": os.path.relpath(ACCESS_LOG_PATH, RESULTS_DIR),
         "access_log_records": len(records),
         "quick": QUICK,
-    })
+    }, gates={"throughput_rps": "throughput", "latency_ms.p50": "latency",
+              "latency_ms.p95": "latency", "latency_ms.p99": "latency"})
 
 
 # -- induced overload ---------------------------------------------------------------
@@ -451,7 +452,12 @@ def test_e23_observability_overhead(experiment):
         "evaluate_only_us": {"instrumented": eval_on * 1e6,
                              "disabled": eval_off * 1e6},
         "quick": QUICK,
-    })
+    }, gates={"overhead_pct": "overhead",
+              "best_seconds_instrumented": "latency",
+              "best_seconds_disabled": "latency",
+              "per_request_fixed_cost_us": "latency",
+              "evaluate_only_us.instrumented": "latency",
+              "evaluate_only_us.disabled": "latency"})
 
     assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
         f"observability overhead {overhead_pct:.2f}% exceeds "

@@ -26,9 +26,10 @@ Four claims, one experiment file:
   drift lands on both equally (median ratio across trials).
 
 Results export to ``benchmarks/results/BENCH_E24.json``; the warehouse's
-per-experiment medians over the real artifacts (never the synthetic
-throughput fixtures) fold into ``benchmarks/results/TRAJECTORY.json`` —
-the longitudinal perf/defense record CI appends to per revision.
+per-experiment medians of the metrics each committed bench declares
+(never the synthetic throughput fixtures) fold into
+``benchmarks/results/TRAJECTORY.json`` — the longitudinal perf/defense
+record CI appends to per revision.
 
 Quick mode (``E24_QUICK=1``, used by CI): fewer seeds, shorter horizon.
 """
@@ -208,19 +209,23 @@ def test_warehouse_ingests_real_artifacts_and_queries(tmp_path, experiment):
         "bytes_on_disk": reopened.stats()["bytes_on_disk"],
         "trajectory_points": len(trajectory["points"]),
         "quick": QUICK,
-    })
+    }, gates={"ingest_rate_per_sec": "throughput",
+              "query_rate_per_sec": "throughput"})
 
 
 # -- the regression sentinel --------------------------------------------------------
 
 
 def test_sentinel_gates_regressions_and_passes_clean(experiment):
+    gates = {"throughput_rps": "throughput", "healthy_killed": "defense",
+             "overhead_pct": "overhead", "latency.p99_ms": "latency"}
+
     def trials(metrics, tag):
         return [RunRecord(
             key=RunKey(experiment="e24", arm="full", seed=seed,
                        git_rev=tag),
             kind="synthetic", metrics=dict(metrics),
-            context={"quick": QUICK}, source=tag, tag=tag)
+            context={"quick": QUICK, "gates": gates}, source=tag, tag=tag)
             for seed in range(3)]
 
     healthy = {"throughput_rps": 1000.0, "healthy_killed": 0.0,
@@ -322,7 +327,7 @@ def test_query_endpoint_over_live_http(tmp_path, experiment):
         "latency_p95_ms": round(p95, 3),
         "span_chain_explained": True,
         "quick": QUICK,
-    })
+    }, gates={"latency_p50_ms": "latency", "latency_p95_ms": "latency"})
 
 
 # -- ingest overhead on a real sweep ------------------------------------------------
@@ -392,7 +397,9 @@ def test_ingest_overhead_under_budget_on_e10_sweep(tmp_path, experiment):
         "overhead_pct": round(overhead_pct, 3),
         "budget_pct": OVERHEAD_BUDGET_PCT,
         "quick": QUICK,
-    })
+    }, gates={"overhead_pct": "overhead",
+              "sweep_wall_sec_median": "latency",
+              "ingest_wall_sec_median": "latency"})
 
     assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
         f"warehouse ingest overhead {overhead_pct:.2f}% exceeds "

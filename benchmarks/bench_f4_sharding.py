@@ -97,7 +97,10 @@ def test_f4_vectorized_vs_scalar(experiment):
         "vector_decisions_per_sec": int(vec_rate),
         "speedup": round(speedup, 2),
         "trace_digest": vector.trace_digest,
-    })
+    }, gates={"scalar_wall_sec": "latency", "vector_wall_sec": "latency",
+              "scalar_decisions_per_sec": "throughput",
+              "vector_decisions_per_sec": "throughput",
+              "speedup": "throughput"})
     assert speedup >= SPEEDUP_FLOOR, (
         f"vectorized path only {speedup:.1f}x the scalar twin")
 
@@ -143,7 +146,10 @@ def test_f4_shard_scaling(experiment):
             f"asserted >= {SPEEDUP_FLOOR}x" if multicore
             else "determinism-equivalence only "
                  f"({cores} cores < {MIN_CORES_FOR_SPEEDUP}; F2 precedent)"),
-    })
+    }, gates={"speedup_at_top": "throughput",
+              **{f"runs.{n}.{key}": family for n in rows
+                 for key, family in (("wall_sec", "latency"),
+                                     ("events_per_sec", "throughput"))}})
     if multicore:
         assert speedup >= SPEEDUP_FLOOR, (
             f"{top} shards only {speedup:.1f}x serial on {cores} cores")
@@ -159,7 +165,7 @@ def test_f4_scale_within_wall_budget():
         "decisions": run.summary["decisions"],
         "wall_sec": wall, "budget_sec": SCALE_WALL_BUDGET_SEC,
         "events_per_sec": int(run.perf["events"] / wall),
-    })
+    }, gates={"wall_sec": "latency", "events_per_sec": "throughput"})
     assert wall < SCALE_WALL_BUDGET_SEC
     assert run.summary["devices"] == N_DEVICES
     assert run.summary["healthy_killed"] == 0

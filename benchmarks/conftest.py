@@ -8,8 +8,8 @@ written to ``benchmarks/results/<name>.txt`` for the record.
 
 Bench modules import the two shared helpers below directly
 (``from conftest import ...``): :func:`export_section` merges one result
-section into a ``BENCH_*.json`` document, and :func:`best_of_interleaved`
-is the on/off overhead timing protocol.
+section, and the gates it declares, into a ``BENCH_*.json`` document,
+and :func:`best_of_interleaved` is the on/off overhead timing protocol.
 """
 
 from __future__ import annotations
@@ -41,15 +41,29 @@ def experiment():
 
 
 def export_section(path: str, header: dict, section: str,
-                   payload: dict) -> None:
+                   payload: dict, gates=None) -> None:
     """Merge ``payload`` as ``section`` into the JSON document at ``path``
-    (tests run in any order); a new document starts from ``header``."""
+    (tests run in any order); a new document starts from ``header``.
+
+    ``gates`` declares which of the section's metrics the regression
+    sentinel judges, and how: ``{key: family}`` with ``key`` the metric's
+    dotted path inside ``payload`` (``"latency_ms.p99"``) and ``family``
+    one of ``defense``, ``overhead``, ``throughput`` or ``latency``.  They
+    land in the document's top-level ``gates`` block as
+    ``"<section>.<key>"``, replacing the section's earlier declarations;
+    an undeclared metric is reported, never gated.
+    """
     os.makedirs(os.path.dirname(path), exist_ok=True)
     document = dict(header)
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
     document[section] = payload
+    document["gates"] = {
+        **{name: family for name, family in document.get("gates", {}).items()
+           if not name.startswith(f"{section}.")},
+        **{f"{section}.{key}": family for key, family in (gates or {}).items()},
+    }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")

@@ -117,6 +117,9 @@ def run_smoke(plane: ControlPlane) -> int:
     try:
         evaluated = check("evaluate", "POST", "/evaluate",
                           {"event": {"kind": "mgmt.command.move"}})
+        check("evaluate-state-list", "POST", "/evaluate",
+              {"event": {"kind": "mgmt.command.move"},
+               "state": [["heat", 120.0]]}, expect=400)
         check("health", "GET", "/health")
         check("metrics", "GET", "/metrics")
         check("batch", "POST", "/batch",

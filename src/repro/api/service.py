@@ -339,8 +339,11 @@ class ControlPlane:
                 raise ValueError("event.kind is required")
             device = self.device
             overrides = data.get("state")
+            if overrides is not None and not isinstance(overrides, dict):
+                raise ValueError(f"state: expected a dict, got "
+                                 f"{type(overrides).__name__}")
             if overrides:
-                device.state.apply(dict(overrides), time=self.runtime.now,
+                device.state.apply(overrides, time=self.runtime.now,
                                    cause="api.state")
         except (ValueError, KeyError, TypeError, StateError) as exc:
             return (400, {"error": "bad-request", "detail": str(exc)},

@@ -67,6 +67,8 @@ class StateVariable:
                 raise StateBoundsError(f"{self.name}: {value} below bound {self.low}")
             if self.high is not None and value > self.high:
                 raise StateBoundsError(f"{self.name}: {value} above bound {self.high}")
+            if value - value:  # inf - inf is NaN: an infinity past no bound
+                raise StateBoundsError(f"{self.name}: {value} is not finite")
         if self.allowed is not None and value not in self.allowed:
             raise StateBoundsError(f"{self.name}: {value!r} not in allowed set")
         return value

@@ -28,7 +28,6 @@ to the scalar path when numpy is absent (:func:`numpy_available`).
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from operator import itemgetter
 from typing import Optional
@@ -101,8 +100,8 @@ class StateMatrix:
         Rows are admitted as a :class:`~repro.core.state.DeviceState`
         admits a state: each must be a dict over declared names whose
         values :meth:`StateVariable.validate
-        <repro.core.state.StateVariable.validate>` accepts, and finite; a
-        missing name keeps its default.  A refusal is a
+        <repro.core.state.StateVariable.validate>` accepts; a missing
+        name keeps its default.  A refusal is a
         :class:`ValueError` naming the lowest refused row, ``row {i}: ``
         followed by ``validate``'s (or :meth:`StateSpace.variable`'s) own
         words about one bad cell: an undeclared name first, else the first
@@ -233,8 +232,6 @@ def _refusal(space: StateSpace, name: str, value, np) -> Optional[str]:
         var.validate(value)
     except StateError as exc:
         return str(exc)
-    if var.kind == "float" and not math.isfinite(value):
-        return f"{name}: {value} is not finite"
     return None
 
 

@@ -10,9 +10,9 @@ versioned :class:`RunRecord` rows keyed by ``(experiment, arm, seed,
 git rev)``, a query API over them (:meth:`Warehouse.select`,
 percentile aggregation, per-arm group-by), and a **regression
 sentinel** (:func:`compare_runs`) producing typed delta reports with
-noise-aware gating — median-of-trials per metric family with tolerance
-bands, failing CI on perf and defense regressions while staying quiet
-on identical runs.
+noise-aware gating — median-of-trials per ``(experiment, metric)``
+with the tolerance band of the family each bench declared, failing CI
+on perf and defense regressions while staying quiet on identical runs.
 
 The Kott after-action principle (PAPERS.md) made operational: an
 autonomous fleet must record its engagements so auditors can compare
@@ -26,7 +26,7 @@ from repro.telemetry.warehouse.query import match_where
 from repro.telemetry.warehouse.records import (SCHEMA_VERSION, RunKey,
                                                RunRecord, flatten_numeric)
 from repro.telemetry.warehouse.sentinel import (DeltaReport, MetricDelta,
-                                                classify_metric, compare_runs,
+                                                compare_runs,
                                                 update_trajectory)
 from repro.telemetry.warehouse.store import Warehouse
 
@@ -37,7 +37,6 @@ __all__ = [
     "RunRecord",
     "SCHEMA_VERSION",
     "Warehouse",
-    "classify_metric",
     "compare_runs",
     "flatten_numeric",
     "ingest_bench",

@@ -10,7 +10,9 @@ Three artifact shapes, one normalized record each:
   listed ``.jsonl`` stream's length becomes a ``streams.<stem>`` count;
 * a **``BENCH_*.json``** document — every numeric leaf flattens into a
   metric (``concurrency.throughput_rps``), every ``quick`` flag folds
-  into the protocol context the sentinel's comparability check reads;
+  into the protocol context the sentinel's comparability check reads,
+  and the document's ``gates`` block (``{metric: family}``, written by
+  the bench) becomes the declaration the sentinel judges by;
 * a **``run_matrix`` cell** — the flat summary dict a scenario returned
   for one ``(arm, seed)``, ingested live as the sweep runs.
 """
@@ -24,6 +26,7 @@ from typing import Optional
 from repro.telemetry.exposition import BUNDLE_SCHEMA
 from repro.telemetry.warehouse.records import (RunKey, RunRecord,
                                                flatten_numeric)
+from repro.telemetry.warehouse.sentinel import RULES
 
 #: Manifest schemas this ingester understands (0 = pre-E24 manifests
 #: with no identity block; still ingestable, identity must come from
@@ -103,7 +106,11 @@ def ingest_bundle(warehouse, dirpath: str,
 
 def ingest_bench(warehouse, path: str, git_rev: str = "unknown",
                  tag: str = "") -> RunRecord:
-    """Ingest one ``BENCH_*.json`` perf document as a single record."""
+    """Ingest one ``BENCH_*.json`` perf document as a single record.
+
+    Raises :class:`ValueError` when the ``gates`` block names a family
+    the sentinel does not know, or a metric the document does not hold:
+    a renamed metric must not silently lose its gate."""
     with open(path, encoding="utf-8") as handle:
         document = json.load(handle)
     if not isinstance(document, dict):
@@ -111,7 +118,16 @@ def ingest_bench(warehouse, path: str, git_rev: str = "unknown",
     name = os.path.basename(path)
     experiment = str(document.get("experiment")
                      or name.replace("BENCH_", "").replace(".json", ""))
+    gates = document.pop("gates", {})
     metrics = flatten_numeric(document)
+    for metric, family in sorted(gates.items()):
+        if family not in RULES:
+            raise ValueError(f"{path!r} declares {metric!r} as unknown "
+                             f"family {family!r} (expected one of "
+                             f"{sorted(RULES)})")
+        if metric not in metrics:
+            raise ValueError(f"{path!r} declares {metric!r}, which it "
+                             f"does not hold")
     quick_flags = [value for key, value in flatten_bools(document).items()
                    if key == "quick" or key.endswith(".quick")]
     context = {
@@ -119,6 +135,7 @@ def ingest_bench(warehouse, path: str, git_rev: str = "unknown",
         "quick": any(quick_flags),
         "sections": sorted(key for key, value in document.items()
                            if isinstance(value, dict)),
+        "gates": gates,
     }
     record = RunRecord(
         key=RunKey(experiment=experiment, arm="bench", git_rev=git_rev),

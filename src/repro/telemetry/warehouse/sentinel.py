@@ -1,27 +1,36 @@
-"""The cross-run regression sentinel: typed deltas with noise-aware gates.
+"""The cross-run regression sentinel: typed deltas judged by declared families.
 
 :func:`compare_runs` takes a baseline run set and a candidate run set
-(each possibly several trials), reduces every shared metric to its
-**median over trials** (the E23 best-of-N convention: one robust number
-per side, so a single slow trial cannot manufacture a regression), and
-judges the delta against a per-family tolerance band:
+(each possibly several trials), reduces every ``(experiment, metric)``
+pair to its **median over trials** (the E23 best-of-N convention: one
+robust number per side, so a single slow trial cannot manufacture a
+regression), and judges the delta by the family the bench that wrote
+the metric **declared** for it (``record.context["gates"]``, read from
+the document's ``gates`` block by :func:`ingest_bench
+<repro.telemetry.warehouse.ingest.ingest_bench>`).  Nothing is guessed
+from a metric's name, and a metric is never pooled with a namesake
+from another experiment:
 
-* **defense** counters (``skynet``, ``healthy_killed``, ``rogue_harm``…)
-  — zero tolerance: any increase is a regression.  Across *different*
-  protocols (a quick CI run vs a committed full run) only categorical
-  breaches gate — a metric that was 0 and became nonzero — because a
-  magnitude change may just be the seed-count difference;
-* **overhead percentages** — absolute band (percentage points);
-* **throughput** (higher is better) and **latency/wall-clock** (lower
-  is better) — relative bands, gated only when both sides ran the same
-  protocol (quick-mode flags match): wall-clock numbers from different
-  workloads are reported, never gated.
+* **defense** counters — zero tolerance: any increase is a regression.
+  Across *different* protocols (a quick CI run vs a committed full run)
+  only categorical breaches gate — a metric that was 0 and became
+  nonzero — because a magnitude change may just be the seed-count
+  difference;
+* **overhead** percentages — absolute band (percentage points);
+* **throughput** (higher is better) and **latency** (lower is better)
+  — relative bands.
+
+Overhead, throughput and latency are wall clock: gated only when both
+sides ran the same protocol (quick-mode flags match), otherwise
+reported, never gated.  An undeclared metric (every bundle and
+``run_matrix`` metric, a counterfactual arm, a bench input) is
+``other``: reported, never gated.
 
 The verdicts are typed (:class:`MetricDelta`), the report renders for
 humans and serializes for CI (:class:`DeltaReport`), and
-:func:`update_trajectory` folds the warehouse's current medians into
-``TRAJECTORY.json`` — the longitudinal perf/defense record the ROADMAP
-campaigns score against.
+:func:`update_trajectory` folds the warehouse's medians of declared
+metrics into ``TRAJECTORY.json`` — the longitudinal perf/defense record
+the ROADMAP campaigns score against.
 """
 
 from __future__ import annotations
@@ -44,48 +53,31 @@ class FamilyRule:
 
     family: str
     higher_better: bool
-    needles: tuple                      # substring matches, first rule wins
     rel_tol: Optional[float] = None     # fraction of the baseline
     abs_tol: Optional[float] = None     # absolute units
-    gated: bool = False                 # breaches fail the gate
     wallclock: bool = False             # only gate when protocols match
 
 
-#: Ordered family rules — first needle match wins; unmatched metrics
-#: fall into the ungated ``other`` family.
-FAMILY_RULES = (
-    FamilyRule("defense", higher_better=False, abs_tol=0.0, gated=True,
-               needles=("skynet", "healthy_killed", "rogue_harm",
-                        "compromised", "forged_accepted", "harm_events",
-                        "false_quarantine")),
-    FamilyRule("overhead", higher_better=False, abs_tol=1.5, gated=True,
-               wallclock=True, needles=("overhead_pct", "overhead_percent")),
-    FamilyRule("throughput", higher_better=True, rel_tol=0.10, gated=True,
-               wallclock=True,
-               needles=("throughput", "_rps", "per_sec", "per_second",
-                        "speedup", "ingest_rate", "query_rate")),
-    FamilyRule("latency", higher_better=False, rel_tol=0.25, gated=True,
-               wallclock=True,
-               needles=("latency", "_ms", "_us", "wall_sec", "seconds",
-                        "duration", ".p50", ".p95", ".p99")),
-)
+#: The families a bench may declare, by name; each one gates.
+RULES = {rule.family: rule for rule in (
+    FamilyRule("defense", higher_better=False, abs_tol=0.0),
+    FamilyRule("overhead", higher_better=False, abs_tol=1.5,
+               wallclock=True),
+    FamilyRule("throughput", higher_better=True, rel_tol=0.10,
+               wallclock=True),
+    FamilyRule("latency", higher_better=False, rel_tol=0.25,
+               wallclock=True),
+)}
 
-OTHER = FamilyRule("other", higher_better=False, needles=())
-
-
-def classify_metric(name: str) -> FamilyRule:
-    """The family rule governing ``name`` (``other`` when none match)."""
-    lowered = name.lower()
-    for rule in FAMILY_RULES:
-        if any(needle in lowered for needle in rule.needles):
-            return rule
-    return OTHER
+#: What an undeclared metric is: informational, never gated.
+OTHER = FamilyRule("other", higher_better=False)
 
 
 @dataclass
 class MetricDelta:
     """One judged metric: both medians, the delta, and the verdict."""
 
+    experiment: str
     metric: str
     family: str
     baseline: Optional[float]
@@ -143,7 +135,8 @@ class DeltaReport:
             key=lambda delta: ({"regression": 0, "improvement": 1,
                                 "informational": 2, "ok": 3,
                                 "missing": 4}.get(delta.verdict, 5),
-                               delta.family, delta.metric))
+                               delta.family, delta.experiment,
+                               delta.metric))
         lines = [f"compare_runs: {self.baseline_runs} baseline vs "
                  f"{self.candidate_runs} candidate run(s), "
                  f"{'comparable' if self.comparable else 'cross-protocol'}"
@@ -152,7 +145,8 @@ class DeltaReport:
             rel = (f" ({delta.relative_pct:+.1f}%)"
                    if delta.relative_pct is not None else "")
             lines.append(
-                f"  [{delta.verdict:>13}] {delta.family:<10} {delta.metric}: "
+                f"  [{delta.verdict:>13}] {delta.family:<10} "
+                f"{delta.experiment} {delta.metric}: "
                 f"{delta.baseline} -> {delta.candidate}{rel}")
         if len(ordered) > max_rows:
             lines.append(f"  ... {len(ordered) - max_rows} more")
@@ -160,12 +154,22 @@ class DeltaReport:
 
 
 def _median_metrics(records) -> dict:
-    """Median-of-trials per metric over one side's records."""
+    """``{(experiment, metric): (median over trials, trials)}`` for one
+    side's records."""
     pools: dict = {}
     for record in records:
         for name, value in record.metrics.items():
-            pools.setdefault(name, []).append(float(value))
-    return {name: median(values) for name, values in pools.items()}
+            pools.setdefault((record.key.experiment, name), []).append(
+                float(value))
+    return {key: (median(values), len(values))
+            for key, values in pools.items()}
+
+
+def _declared(records) -> dict:
+    """``{(experiment, metric): family}`` the records declare."""
+    return {(record.key.experiment, name): family
+            for record in records
+            for name, family in record.context.get("gates", {}).items()}
 
 
 def _judge(rule: FamilyRule, base: float, cand: float,
@@ -181,10 +185,10 @@ def _judge(rule: FamilyRule, base: float, cand: float,
     breach = abs(delta) > tolerance
     if not breach:
         return ("ok", "")
+    if rule is OTHER:            # no declared direction to judge it by
+        return ("informational", "undeclared metric")
     if not worse:
         return ("improvement", "")
-    if rule.family == "other" or not rule.gated:
-        return ("informational", "ungated family")
     if rule.wallclock and not comparable:
         return ("informational",
                 "wall-clock family across different protocols")
@@ -202,8 +206,11 @@ def compare_runs(baseline, candidate, comparable: Optional[bool] = None,
 
     ``baseline`` / ``candidate`` are lists of
     :class:`~repro.telemetry.warehouse.records.RunRecord` (trials of
-    the same protocol on each side).  ``comparable`` overrides the
-    automatic protocol check (quick-mode flags equal on both sides).
+    the same protocol on each side).  Each ``(experiment, metric)`` pair
+    is judged by the family its records declare; where both sides
+    declare it, the candidate's declaration wins.  ``comparable``
+    overrides the automatic protocol check (quick-mode flags equal on
+    both sides).
     """
     baseline = list(baseline)
     candidate = list(candidate)
@@ -212,38 +219,27 @@ def compare_runs(baseline, candidate, comparable: Optional[bool] = None,
                       == {record.quick() for record in candidate})
     base_medians = _median_metrics(baseline)
     cand_medians = _median_metrics(candidate)
-    base_counts = {name: sum(1 for record in baseline
-                             if name in record.metrics)
-                   for name in base_medians}
-    cand_counts = {name: sum(1 for record in candidate
-                             if name in record.metrics)
-                   for name in cand_medians}
+    families = {**_declared(baseline), **_declared(candidate)}
 
     report = DeltaReport(comparable=comparable,
                          baseline_runs=len(baseline),
                          candidate_runs=len(candidate))
-    for metric in sorted(set(base_medians) | set(cand_medians)):
-        rule = classify_metric(metric)
-        base = base_medians.get(metric)
-        cand = cand_medians.get(metric)
-        if base is None or cand is None:
-            report.deltas.append(MetricDelta(
-                metric=metric, family=rule.family, baseline=base,
-                candidate=cand, delta=None, relative_pct=None,
-                verdict="missing", gated=False,
-                n_baseline=base_counts.get(metric, 0),
-                n_candidate=cand_counts.get(metric, 0),
-                note="present on one side only"))
-            continue
-        verdict, note = _judge(rule, base, cand, comparable)
-        delta = cand - base
-        relative = (delta / abs(base) * 100.0) if base != 0.0 else None
-        report.deltas.append(MetricDelta(
-            metric=metric, family=rule.family, baseline=base,
-            candidate=cand, delta=delta, relative_pct=relative,
-            verdict=verdict, gated=rule.gated,
-            n_baseline=base_counts.get(metric, 0),
-            n_candidate=cand_counts.get(metric, 0), note=note))
+    for key in sorted(set(base_medians) | set(cand_medians)):
+        rule = RULES.get(families.get(key), OTHER)
+        base, n_base = base_medians.get(key, (None, 0))
+        cand, n_cand = cand_medians.get(key, (None, 0))
+        delta = MetricDelta(
+            experiment=key[0], metric=key[1], family=rule.family,
+            baseline=base, candidate=cand, delta=None, relative_pct=None,
+            verdict="missing", gated=False, n_baseline=n_base,
+            n_candidate=n_cand, note="present on one side only")
+        if base is not None and cand is not None:
+            delta.verdict, delta.note = _judge(rule, base, cand, comparable)
+            delta.gated = rule is not OTHER
+            delta.delta = cand - base
+            if base != 0.0:
+                delta.relative_pct = delta.delta / abs(base) * 100.0
+        report.deltas.append(delta)
     return report
 
 
@@ -268,19 +264,22 @@ def update_trajectory(warehouse, path: str,
     """Fold the warehouse's per-experiment medians into the trajectory.
 
     One point per git revision: ``{git_rev, runs, experiments:
-    {experiment: {metric: median}}}``, keeping only metrics a gated
-    family governs (the ones the sentinel would act on) so the document
-    stays a *trajectory*, not a dump.  An existing point for the same
-    revision is replaced — re-running a bench updates history in place
-    instead of duplicating it.  Returns the written document.
+    {experiment: {metric: median}}}``, keeping only the metrics each
+    record declares (the ones the sentinel gates) so the document stays
+    a *trajectory*, not a dump.  Records that declare nothing (bundles,
+    ``run_matrix`` cells) add no experiment.  An existing point for the
+    same revision is replaced — re-running a bench updates history in
+    place instead of duplicating it.  Returns the written document.
     """
     experiments: dict = {}
     for record in warehouse.runs():
+        declared = record.context.get("gates")
+        if declared is None:
+            continue
         pools = experiments.setdefault(record.key.experiment, {})
         for name, value in record.metrics.items():
-            if classify_metric(name).family == "other":
-                continue
-            pools.setdefault(name, []).append(float(value))
+            if name in declared:
+                pools.setdefault(name, []).append(float(value))
     point = {
         "git_rev": git_rev,
         "runs": len(warehouse),

@@ -91,6 +91,24 @@ class TestEvaluate:
         assert plane.runtime.metrics.value("api.errors.bad-request") == 1.0
         plane.close()
 
+    @pytest.mark.parametrize("state, detail", [
+        ('[["heat", 120.0]]', "state: expected a dict, got list"),
+        ('"ab"', "state: expected a dict, got str"),
+        ("[]", "state: expected a dict, got list"),
+    ])
+    def test_state_that_is_not_an_object_is_refused(self, state, detail):
+        """``/batch``'s words for a row that is not a dict."""
+        plane, _ = make_plane()
+        before = plane.device.state.snapshot()
+        response = plane.handle_request(
+            "POST", "/evaluate",
+            body=('{"event": {"kind": "mgmt.command.move"}, "state": '
+                  + state + "}").encode())
+        assert (response.status, response.reason) == (400, "bad-request")
+        assert response.payload["detail"] == detail
+        assert plane.device.state.snapshot() == before
+        plane.close()
+
 
 class TestExplainRoundTrip:
     def test_decision_spans_nest_under_the_request_root(self):

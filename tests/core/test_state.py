@@ -36,6 +36,20 @@ class TestStateVariable:
             state.apply({"x": float("nan")})
         assert state.get("x") == 5.0
 
+    @pytest.mark.parametrize("low, high, value, words", [
+        (None, None, float("inf"), "^x: inf is not finite$"),
+        (None, None, float("-inf"), "^x: -inf is not finite$"),
+        (0.0, None, float("inf"), "^x: inf is not finite$"),
+        (0.0, None, float("-inf"), "^x: -inf below bound 0.0$"),
+        (None, 10.0, float("inf"), "^x: inf above bound 10.0$"),
+    ])
+    def test_infinity_is_rejected_past_no_bound(self, low, high, value,
+                                                words):
+        var = StateVariable("x", "float", 5.0, low=low, high=high)
+        with pytest.raises(StateBoundsError, match=words):
+            var.validate(value)
+        assert StateVariable("y", "float", 0.0).validate(-1e308) == -1e308
+
     def test_default_must_satisfy_bounds(self):
         with pytest.raises(StateBoundsError):
             StateVariable("x", "float", 20.0, low=0.0, high=10.0)

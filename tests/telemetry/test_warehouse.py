@@ -13,7 +13,6 @@ from repro.telemetry.warehouse import (
     RunRecord,
     SCHEMA_VERSION,
     Warehouse,
-    classify_metric,
     compare_runs,
     flatten_numeric,
     ingest_bench,
@@ -27,12 +26,15 @@ from repro.telemetry.warehouse.sentinel import load_trajectory
 
 
 def record(experiment="e", arm="full", seed=1, metrics=None, quick=False,
-           git_rev="rev0", tag="", kind="matrix") -> RunRecord:
+           git_rev="rev0", tag="", kind="matrix", gates=None) -> RunRecord:
+    context = {"quick": quick}
+    if gates is not None:
+        context["gates"] = gates
     return RunRecord(
         key=RunKey(experiment=experiment, arm=arm, seed=seed,
                    git_rev=git_rev),
         kind=kind, metrics=dict(metrics or {"m": 1.0}),
-        context={"quick": quick}, source="test", tag=tag)
+        context=context, source="test", tag=tag)
 
 
 # -- records -----------------------------------------------------------------------
@@ -281,22 +283,20 @@ class TestQueries:
 # -- the regression sentinel -------------------------------------------------------
 
 
-def trials(metrics_per_seed, arm="full", quick=False, tag=""):
-    return [record(arm=arm, seed=seed, metrics=metrics, quick=quick,
-                   tag=tag)
+#: The families the sentinel fixtures declare, as a bench's ``gates``.
+GATES = {"throughput_rps": "throughput", "healthy_killed": "defense",
+         "compromised_ever": "defense", "overhead_pct": "overhead",
+         "a_rps": "throughput", "b_rps": "throughput"}
+
+
+def trials(metrics_per_seed, arm="full", quick=False, tag="",
+           experiment="e", gates=GATES):
+    return [record(experiment=experiment, arm=arm, seed=seed,
+                   metrics=metrics, quick=quick, tag=tag, gates=gates)
             for seed, metrics in enumerate(metrics_per_seed)]
 
 
 class TestSentinel:
-    def test_families(self):
-        assert classify_metric("summary.skynet_rate").family == "defense"
-        assert classify_metric("healthy_killed").family == "defense"
-        assert classify_metric("overhead_pct").family == "overhead"
-        assert classify_metric("eval.throughput_rps").family == "throughput"
-        assert classify_metric("latency.p99_ms").family == "latency"
-        other = classify_metric("run.horizon")
-        assert (other.family, other.gated) == ("other", False)
-
     def test_identical_pair_reports_no_regression(self):
         metrics = [{"throughput_rps": 1000.0, "healthy_killed": 0.0,
                     "overhead_pct": 3.0} for _ in range(3)]
@@ -382,9 +382,48 @@ class TestSentinel:
         doc = report.to_dict()
         assert doc["ok"] is False
         assert doc["regressions"][0]["metric"] == "throughput_rps"
+        assert doc["regressions"][0]["experiment"] == "e"
         text = report.render()
         assert "REGRESSIONS" in text
-        assert "throughput_rps" in text
+        assert "e throughput_rps" in text
+
+    def test_undeclared_metric_is_informational(self):
+        baseline = trials([{"throughput_rps": 1000.0,
+                            "healthy_killed": 0.0}] * 3, gates={})
+        candidate = trials([{"throughput_rps": 500.0,
+                             "healthy_killed": 4.0}] * 3, gates={})
+        report = compare_runs(baseline, candidate)
+        assert report.ok
+        assert {(delta.family, delta.verdict, delta.gated)
+                for delta in report.deltas} == {
+            ("other", "informational", False)}
+
+    def test_namesakes_are_judged_per_experiment(self):
+        """One experiment's rise is not outvoted by the others' medians."""
+        def side(rise):
+            return [run for experiment in ("e19", "e20", "e21", "e23")
+                    for run in trials(
+                        [{"overhead_pct": 4.0 + (
+                            rise if experiment == "e21" else 0.0)}],
+                        experiment=experiment)]
+
+        report = compare_runs(side(0.0), side(10.0))
+        assert [(delta.experiment, delta.metric)
+                for delta in report.regressions] == [
+            ("e21", "overhead_pct")]
+        assert {delta.n_baseline for delta in report.deltas} == {1}
+
+    def test_candidate_declaration_wins(self):
+        baseline = trials([{"speed": 100.0}] * 2,
+                          gates={"speed": "latency"})
+        candidate = trials([{"speed": 150.0}] * 2,
+                           gates={"speed": "throughput"})
+        (delta,) = compare_runs(baseline, candidate).deltas
+        assert (delta.family, delta.verdict) == ("throughput", "improvement")
+        # Declared on one side only: that side's declaration counts.
+        (delta,) = compare_runs(baseline, trials([{"speed": 150.0}] * 2,
+                                                 gates={})).deltas
+        assert (delta.family, delta.verdict) == ("latency", "regression")
 
 
 class TestTrajectory:
@@ -394,20 +433,25 @@ class TestTrajectory:
             warehouse.ingest(record(
                 experiment="e10", seed=seed,
                 metrics={"throughput_rps": 100.0 + seed,
-                         "run.horizon": 120.0}))
+                         "run.horizon": 120.0}, gates=GATES))
+        warehouse.ingest(record(experiment="bundle",
+                                metrics={"throughput_rps": 1.0}))
         path = str(tmp_path / "TRAJECTORY.json")
         document = update_trajectory(warehouse, path, git_rev="abc123")
         assert len(document["points"]) == 1
         point = document["points"][0]
         assert point["git_rev"] == "abc123"
         assert point["experiments"]["e10"]["throughput_rps"] == 102.0
-        # Ungated families stay out of the longitudinal record.
+        # Undeclared metrics, and records that declare nothing, stay
+        # out of the longitudinal record.
         assert "run.horizon" not in point["experiments"]["e10"]
+        assert "bundle" not in point["experiments"]
         assert load_trajectory(path) == document
 
     def test_same_revision_replaces_new_revision_appends(self, tmp_path):
         warehouse = Warehouse(str(tmp_path / "wh"))
-        warehouse.ingest(record(metrics={"throughput_rps": 1.0}))
+        warehouse.ingest(record(metrics={"throughput_rps": 1.0},
+                                gates=GATES))
         path = str(tmp_path / "TRAJECTORY.json")
         update_trajectory(warehouse, path, git_rev="rev-a")
         update_trajectory(warehouse, path, git_rev="rev-a")
@@ -510,12 +554,17 @@ class TestIngest:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"title": "unit bench",
                        "eval": {"throughput_rps": 123.0, "quick": True},
-                       "other": {"overhead_pct": 2.0}}, handle)
+                       "other": {"overhead_pct": 2.0},
+                       "gates": {"eval.throughput_rps": "throughput"}},
+                      handle)
         rec = ingest_bench(warehouse, path)
         assert rec.key.experiment == "E99"
-        assert rec.metrics["eval.throughput_rps"] == 123.0
+        assert rec.metrics == {"eval.throughput_rps": 123.0,
+                               "other.overhead_pct": 2.0}
         assert rec.context["quick"] is True
         assert rec.quick()
+        assert rec.context["gates"] == {"eval.throughput_rps": "throughput"}
+        assert rec.context["sections"] == ["eval", "other"]
 
     def test_run_dict_cell(self, tmp_path):
         warehouse = Warehouse(str(tmp_path / "wh"))
