@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
 from repro.errors import NetworkError
 
 
@@ -24,23 +22,23 @@ class Topology:
     """
 
     def __init__(self, members: Iterable[str] = ()):
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(members)
+        #: address -> linked peers; insertion order is member order
+        self._links: dict[str, set] = {member: set() for member in members}
         self._explicit = False
         self._partition_of: dict[str, int] = {}
 
     # -- membership -----------------------------------------------------------
 
     def add_member(self, address: str) -> None:
-        self._graph.add_node(address)
+        self._links.setdefault(address, set())
 
     def remove_member(self, address: str) -> None:
-        if address in self._graph:
-            self._graph.remove_node(address)
+        for peer in self._links.pop(address, ()):
+            self._links[peer].discard(address)
         self._partition_of.pop(address, None)
 
     def __contains__(self, address: str) -> bool:
-        return address in self._graph
+        return address in self._links
 
     # -- links ----------------------------------------------------------------
 
@@ -48,16 +46,17 @@ class Topology:
         if a == b:
             raise NetworkError("self-links are not allowed")
         self._explicit = True
-        self._graph.add_edge(a, b)
+        self._links.setdefault(a, set()).add(b)
+        self._links.setdefault(b, set()).add(a)
 
     def neighbors(self, address: str) -> list[str]:
-        if address not in self._graph:
+        if address not in self._links:
             return []
         if not self._explicit:
-            return [m for m in self._graph.nodes
+            return [m for m in self._links
                     if m != address and self._same_partition(address, m)]
         return sorted(
-            n for n in self._graph.neighbors(address)
+            n for n in self._links[address]
             if self._same_partition(address, n)
         )
 
@@ -91,20 +90,20 @@ class Topology:
 
     def can_reach(self, a: str, b: str) -> bool:
         """Direct link (explicit mode) or co-membership (implicit), same partition."""
-        if a not in self._graph or b not in self._graph or a == b:
+        if a not in self._links or b not in self._links or a == b:
             return False
         if not self._same_partition(a, b):
             return False
         if not self._explicit:
             return True
-        return self._graph.has_edge(a, b)
+        return b in self._links[a]
 
     def connected_component(self, address: str) -> set:
         """All members transitively reachable from ``address`` (incl. itself)."""
-        if address not in self._graph:
+        if address not in self._links:
             return set()
         if not self._explicit:
-            return {m for m in self._graph.nodes if self._same_partition(address, m)}
+            return {m for m in self._links if self._same_partition(address, m)}
         component = set()
         frontier = [address]
         while frontier:
@@ -113,7 +112,7 @@ class Topology:
                 continue
             component.add(node)
             frontier.extend(
-                n for n in self._graph.neighbors(node)
+                n for n in self._links[node]
                 if self._same_partition(node, n) and n not in component
             )
         return component

@@ -262,16 +262,23 @@ class BatchPolicyEvaluator:
         return mask
 
     def select(self, matrix: StateMatrix, active=None):
-        """First-match program index per row (-1 = none / inactive)."""
+        """First-match program index per row (-1 = none / inactive).
+
+        Programs are tried in order only while some active row is still
+        unchosen: once a catch-all has matched, the rest are not
+        evaluated."""
         np = self.np
         n = matrix.n_rows
         chosen = np.full(n, -1, dtype=np.int64)
-        if active is None:
-            active = np.ones(n, dtype=bool)
-        self.decisions += int(active.sum())
+        pending = (np.ones(n, dtype=bool) if active is None
+                   else np.array(active, dtype=bool))
+        self.decisions += int(pending.sum())
         for index in range(len(self.programs)):
-            mask = self.condition_mask(index, matrix)
-            chosen = np.where((chosen < 0) & active & mask, index, chosen)
+            if not pending.any():
+                break
+            hit = pending & self.condition_mask(index, matrix)
+            chosen[hit] = index
+            pending &= ~hit
         return chosen
 
     def _predicted_columns(self, matrix: StateMatrix, sub: dict, k: int,

@@ -357,18 +357,16 @@ class ReputationShard(ShardHost):
 
     # -- device message handling -------------------------------------------------
 
-    def _make_device_handler(self, name: str):
-        def handle(message) -> None:
-            if message.topic == "cmd.kill":
-                self._handle_kill(name, message.body)
-            elif message.topic == "vent.approve":
-                self._handle_vent_approve(name, message.body)
-            elif message.topic == LEASE_GRANT_TOPIC:
-                self.registry.admit_grant(message.body)
-            elif message.topic == LEASE_REVOKE_TOPIC:
-                self._handle_lease_revoke(message.body)
-
-        return handle
+    def _on_device_message(self, message) -> None:
+        name = message.recipient
+        if message.topic == "cmd.kill":
+            self._handle_kill(name, message.body)
+        elif message.topic == "vent.approve":
+            self._handle_vent_approve(name, message.body)
+        elif message.topic == LEASE_GRANT_TOPIC:
+            self.registry.admit_grant(message.body)
+        elif message.topic == LEASE_REVOKE_TOPIC:
+            self._handle_lease_revoke(message.body)
 
     def _handle_kill(self, name: str, body: dict) -> None:
         def execute() -> None:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -135,19 +136,41 @@ def fleet_members(spec: ShardedFleetSpec) -> list:
     return [device_name(i) for i in range(spec.n_devices)]
 
 
-def fleet_edges(spec: ShardedFleetSpec) -> list:
+def community_block(spec: ShardedFleetSpec) -> int:
+    """How many consecutive device indices form one community."""
+    return max(2, math.ceil(spec.n_devices / spec.n_communities))
+
+
+def fleet_edges(spec: ShardedFleetSpec, names: Optional[list] = None) -> list:
     """The interaction topology: a global ring plus intra-community
     chords.  Communities are contiguous index blocks, so the ring edges
     crossing block boundaries are the (few) inter-community bridges —
-    the structure the graph partitioner exploits."""
+    the structure the graph partitioner exploits.  ``names`` is
+    :func:`fleet_members` when the caller already holds it."""
     n = spec.n_devices
-    block = max(2, math.ceil(n / spec.n_communities))
+    block = community_block(spec)
+    if names is None:
+        names = fleet_members(spec)
     edges = []
     for i in range(n):
-        edges.append((device_name(i), device_name((i + 1) % n)))
+        edges.append((names[i], names[(i + 1) % n]))
         if (i + 2) % n // block == i // block:
-            edges.append((device_name(i), device_name((i + 2) % n)))
+            edges.append((names[i], names[(i + 2) % n]))
     return edges
+
+
+def neighbor_indices(index: int, n: int, block: int) -> set:
+    """Device ``index``'s neighbors in :func:`fleet_edges`, in closed
+    form: the ring neighbors ``index ± 1`` always, and ``index ± 2``
+    when the chord's two ends share a community block."""
+    peers = {(index - 1) % n, (index + 1) % n}
+    ahead = (index + 2) % n
+    if ahead // block == index // block:
+        peers.add(ahead)
+    behind = (index - 2) % n
+    if behind // block == index // block:
+        peers.add(behind)
+    return peers
 
 
 def fleet_space() -> StateSpace:
@@ -207,6 +230,37 @@ def initial_vector(spec: ShardedFleetSpec, name: str) -> dict:
     }
 
 
+def initial_matrix(spec: ShardedFleetSpec, space: StateSpace,
+                   names: list) -> StateMatrix:
+    """:func:`initial_vector` of every name, as one state matrix.
+
+    The CRC of the shared ``seed|'init'|`` prefix is taken once and
+    continued per name, so each cell holds the float :func:`crc01`
+    gives, computed by the same operations in the same order."""
+    np = _np
+    prefix = zlib.crc32(f"{spec.seed!r}|'init'|".encode("utf-8"))
+    crc32 = zlib.crc32
+    temp, fuel, load = [], [], []
+    for name in names:
+        head = crc32(repr(name).encode("utf-8"), prefix)
+        temp.append(crc32(b"|'temp'", head))
+        fuel.append(crc32(b"|'fuel'", head))
+        load.append(crc32(b"|'load'", head))
+    n = len(names)
+
+    def uniform(crcs):
+        return np.array(crcs, dtype=np.float64) / 4294967296.0
+
+    columns = {   # in fleet_space() declaration order, as from_rows keeps
+        "temp": 30.0 + uniform(temp) * 60.0,
+        "fuel": 20.0 + uniform(fuel) * 80.0,
+        "load": uniform(load),
+        "alive": np.ones(n, dtype=bool),
+        "compromised": np.zeros(n, dtype=bool),
+    }
+    return StateMatrix(space, columns, n, np)
+
+
 def worm_seed_indices(spec: ShardedFleetSpec) -> list:
     """The initially infected devices (distinct, CRC-chosen)."""
     chosen: list = []
@@ -239,19 +293,18 @@ class FleetShard(ShardHost):
         self.programs = fleet_programs(spec)
         self.evaluator = BatchPolicyEvaluator(
             self.space, self.programs, classifier=self.classifier)
-        self.matrix = StateMatrix.from_rows(
-            self.space, [initial_vector(spec, name) for name in self.devices])
+        self.matrix = initial_matrix(spec, self.space, self.devices)
         self.ever_compromised = _np.zeros(len(self.devices), dtype=bool)
 
-        # Neighbor lists from the (globally identical) topology.
-        adjacency: dict = {name: [] for name in self.devices}
-        for a, b in fleet_edges(spec):
-            if a in adjacency:
-                adjacency[a].append(b)
-            if b in adjacency:
-                adjacency[b].append(a)
-        self.neighbors = {name: sorted(set(peers))
-                          for name, peers in adjacency.items()}
+        # Neighbor lists of the (globally identical) topology, in name
+        # order; only a peer hosted elsewhere needs its name formatted.
+        n = spec.n_devices
+        block = community_block(spec)
+        local = {index: name for name, index in self.global_index.items()}
+        self.neighbors = {
+            name: sorted(local.get(peer) or device_name(peer)
+                         for peer in neighbor_indices(index, n, block))
+            for name, index in self.global_index.items()}
 
         # E19: the causal context of each local device's infection, used
         # as the parent of its outgoing spread sends.  Shard-invariant by
@@ -378,14 +431,12 @@ class FleetShard(ShardHost):
 
     # -- device message handling ----------------------------------------------
 
-    def _make_device_handler(self, name: str):
-        def handle(message) -> None:
-            if message.topic == "worm.infect":
-                self._infect(name, origin=message.sender, ctx=message.trace)
-            elif message.topic == "cmd.kill":
-                self._handle_kill(name, message)
-
-        return handle
+    def _on_device_message(self, message) -> None:
+        if message.topic == "worm.infect":
+            self._infect(message.recipient, origin=message.sender,
+                         ctx=message.trace)
+        elif message.topic == "cmd.kill":
+            self._handle_kill(message.recipient, message)
 
     def _verifier_for(self, name: str) -> EnvelopeVerifier:
         verifier = self._verifiers.get(name)
@@ -519,8 +570,9 @@ class ShardedScenario:
 
     def plan(self) -> ShardPlan:
         pins = {WATCHDOG: 0, FORGER: self.n_shards - 1}
-        return ShardPlan.build(fleet_members(self.spec), self.n_shards,
-                               edges=fleet_edges(self.spec), pins=pins)
+        names = fleet_members(self.spec)
+        return ShardPlan.build(names, self.n_shards,
+                               edges=fleet_edges(self.spec, names), pins=pins)
 
     def run(self) -> ShardedRun:
         return run_sharded(build_shard, {"spec": self.spec}, self.plan(),

@@ -91,46 +91,56 @@ def partition_graph(members, edges, n_shards: int) -> dict:
     unassigned member in sorted order), capped at ``ceil(n / n_shards)``.
     Pure function of ``(members, edges, n_shards)`` — no RNG, no dict
     iteration order beyond sorted sequences — so every process computes
-    the same assignment.
+    the same assignment.  The walk runs on positions in the sorted
+    member list: a member name is looked up once per edge end, and
+    everything after that moves ints.
     """
     if n_shards < 1:
         raise ConfigurationError("n_shards must be >= 1")
-    ordered = sorted(set(members))
+    ordered = sorted(dict.fromkeys(members))   # linear when already sorted
     n = len(ordered)
     if n == 0:
         return {}
-    adjacency: dict = {member: [] for member in ordered}
+    position = {member: index for index, member in enumerate(ordered)}
+    get = position.get
+    adjacency: list = [[] for _ in range(n)]
     for a, b in edges:
-        if a in adjacency and b in adjacency:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    for member in ordered:
-        adjacency[member] = sorted(set(adjacency[member]))
+        i = get(a)
+        j = get(b)
+        if i is not None and j is not None:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    # Positions sort as the members do, so each frontier grows in
+    # sorted-member order.  A repeated peer needs no dedupe: it sits next
+    # to its twin, and whichever copy is popped second is already owned.
+    for peers in adjacency:
+        peers.sort()
     quota = math.ceil(n / n_shards)
-    seeds = [ordered[(index * n) // n_shards] for index in range(n_shards)]
-    assignment: dict = {}
-    frontiers = [deque([seed]) for seed in seeds]
+    owner = [-1] * n
+    claimed: list = []              # positions, in the order they were claimed
+    frontiers = [deque([(index * n) // n_shards]) for index in range(n_shards)]
     sizes = [0] * n_shards
-    cursor = 0  # next sorted member to hand a starved shard
-    while len(assignment) < n:
+    cursor = 0  # next sorted position to hand a starved shard
+    while len(claimed) < n:
         progress = False
         for shard in range(n_shards):
             if sizes[shard] >= quota:
                 continue
-            member = None
+            member = -1
             frontier = frontiers[shard]
             while frontier:
                 candidate = frontier.popleft()
-                if candidate not in assignment:
+                if owner[candidate] < 0:
                     member = candidate
                     break
-            if member is None:
-                while cursor < n and ordered[cursor] in assignment:
+            if member < 0:
+                while cursor < n and owner[cursor] >= 0:
                     cursor += 1
                 if cursor >= n:
                     continue
-                member = ordered[cursor]
-            assignment[member] = shard
+                member = cursor
+            owner[member] = shard
+            claimed.append(member)
             sizes[shard] += 1
             progress = True
             frontier.extend(adjacency[member])
@@ -138,12 +148,13 @@ def partition_graph(members, edges, n_shards: int) -> dict:
             break
     # Safety net: anything left (cannot happen with ceil quotas) goes to
     # the emptiest shard, smallest index first.
-    for member in ordered:
-        if member not in assignment:
+    for member in range(n):
+        if owner[member] < 0:
             shard = min(range(n_shards), key=lambda s: (sizes[s], s))
-            assignment[member] = shard
+            owner[member] = shard
+            claimed.append(member)
             sizes[shard] += 1
-    return assignment
+    return {ordered[member]: owner[member] for member in claimed}
 
 
 def cut_edges(assignment: dict, edges) -> int:
@@ -346,7 +357,8 @@ class ShardHost:
     :meth:`finalize`.  A subclass supplies:
 
     * ``_tick()`` — the per-tick fleet step;
-    * ``_make_device_handler(name)`` — the router handler of one device;
+    * ``_on_device_message(message)`` — the router handler every device
+      shares; the device is ``message.recipient``;
     * ``summary()`` — the shard's summary dict (merged across shards);
     * optionally ``metrics()`` — extra observational counters.
 
@@ -364,15 +376,16 @@ class ShardHost:
         self.sim = Simulator(seed=spec.seed)
         self.router = ShardRouter(self.sim, seed=spec.seed, window=spec.window)
         self.devices = sorted(m for m in members if m.startswith("dev-"))
-        self.global_index = {name: int(name.split("-", 1)[1])
-                             for name in self.devices}
+        self.global_index = {name: int(name[4:]) for name in self.devices}
         self.audit: list = []
         self.spans: list = []
 
     def start(self) -> None:
-        """Register every device's handler and start the fleet tick."""
+        """Register the device handler for every device and start the
+        fleet tick."""
+        handler = self._on_device_message
         for name in self.devices:
-            self.router.register(name, self._make_device_handler(name))
+            self.router.register(name, handler)
         self.sim.every(self.spec.tick_interval, self._tick, label="fleet:tick")
 
     def metrics(self) -> dict:

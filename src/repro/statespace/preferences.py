@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 
 
@@ -26,30 +24,58 @@ class StatePreferenceOntology:
     """A DAG of 'this category of state is preferable to that one'."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        #: label -> description, in declaration order (the DAG's nodes)
+        self._categories: dict[str, str] = {}
+        #: label -> the labels it beats / the labels that beat it, as
+        #: insertion-ordered dicts so every walk is deterministic
+        self._worse: dict[str, dict] = {}
+        self._better: dict[str, dict] = {}
         self._rank_cache: Optional[dict] = None
 
+    def _add(self, label: str) -> None:
+        if label not in self._categories:
+            self._categories[label] = ""
+            self._worse[label] = {}
+            self._better[label] = {}
+
     def add_category(self, label: str, description: str = "") -> None:
-        self._graph.add_node(label, description=description)
+        self._add(label)
+        self._categories[label] = description
         self._rank_cache = None
 
     def prefer(self, better: str, worse: str) -> None:
         """Declare that states labelled ``better`` are preferable to ``worse``."""
         if better == worse:
             raise ConfigurationError(f"category {better!r} cannot be preferred to itself")
-        self._graph.add_edge(better, worse)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(better, worse)
+        self._add(better)
+        self._add(worse)
+        if self._reaches(worse, better):
             raise ConfigurationError(
                 f"preference {better!r} > {worse!r} would create a cycle"
             )
+        self._worse[better][worse] = None
+        self._better[worse][better] = None
         self._rank_cache = None
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        """Whether a chain of preferences leads from ``start`` to ``goal``."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            if node == goal:
+                return True
+            for worse in self._worse[node]:
+                if worse not in seen:
+                    seen.add(worse)
+                    frontier.append(worse)
+        return False
 
     def is_preferred(self, a: str, b: str) -> bool:
         """True when a is (transitively) preferred to b."""
-        if a not in self._graph or b not in self._graph:
+        if a not in self._categories or b not in self._categories:
             return False
-        return nx.has_path(self._graph, a, b) and a != b
+        return a != b and self._reaches(a, b)
 
     def comparable(self, a: str, b: str) -> bool:
         return a == b or self.is_preferred(a, b) or self.is_preferred(b, a)
@@ -62,10 +88,20 @@ class StatePreferenceOntology:
         in disconnected components rank relative to their own roots.
         """
         if self._rank_cache is None:
+            # Kahn's layering: a category is ranked once every category
+            # preferred to it is.
             rank: dict[str, int] = {}
-            for node in nx.topological_sort(self._graph):
-                preds = list(self._graph.predecessors(node))
-                rank[node] = 0 if not preds else 1 + max(rank[p] for p in preds)
+            waiting = {label: len(better)
+                       for label, better in self._better.items()}
+            ready = [label for label, count in waiting.items() if count == 0]
+            while ready:
+                node = ready.pop()
+                better = self._better[node]
+                rank[node] = 1 + max(rank[p] for p in better) if better else 0
+                for worse in self._worse[node]:
+                    waiting[worse] -= 1
+                    if waiting[worse] == 0:
+                        ready.append(worse)
             self._rank_cache = rank
         return dict(self._rank_cache)
 

@@ -187,8 +187,8 @@ def _judge(rule: FamilyRule, base: float, cand: float,
         return ("ok", "")
     if rule is OTHER:            # no declared direction to judge it by
         return ("informational", "undeclared metric")
-    if not worse:
-        return ("improvement", "")
+    # Comparability first, in either direction: a quick run is no more
+    # a gain over a full one than it is a loss.
     if rule.wallclock and not comparable:
         return ("informational",
                 "wall-clock family across different protocols")
@@ -197,7 +197,7 @@ def _judge(rule: FamilyRule, base: float, cand: float,
         # may be the seed-count difference; 0 -> nonzero never is.
         return ("informational",
                 "magnitude change across protocols (baseline nonzero)")
-    return ("regression", "")
+    return ("regression", "") if worse else ("improvement", "")
 
 
 def compare_runs(baseline, candidate, comparable: Optional[bool] = None,

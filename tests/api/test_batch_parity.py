@@ -123,3 +123,15 @@ def test_batch_refuses_a_row_in_evaluates_words(row, index):
     assert (batch.status, batch.reason) == (400, "bad-request")
     assert batch.payload["detail"] == (
         f"row {index}: {evaluated.payload['detail']}")
+
+
+def test_batch_stops_evaluating_once_every_row_is_chosen():
+    """``hold-when-drained`` is a catch-all: ``hold-near-civilians``
+    after it can never be chosen, so it is never evaluated."""
+    batch = post_raw("/batch", json.dumps({"rows": [
+        {"heat": 150.0}, {"battery": 5.0, "civilians_near": 2}]}))
+    assert batch.status == 200
+    assert batch.payload["chosen"] == ["vent-on-overheat",
+                                       "hold-when-drained"]
+    assert (batch.payload["vector_evals"],
+            batch.payload["scalar_evals"]) == (4, 0)

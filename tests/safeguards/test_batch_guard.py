@@ -35,6 +35,15 @@ from repro.safeguards.batch import (
     BatchPolicyEvaluator,
     compile_condition,
 )
+from repro.scenarios.sharded import (
+    STRIKE_INDEX,
+    ShardedFleetSpec,
+    fleet_classifier,
+    fleet_members,
+    fleet_programs,
+    fleet_space,
+    initial_matrix,
+)
 from repro.statespace.batch import (
     BatchCompileError,
     StateMatrix,
@@ -230,6 +239,46 @@ def test_vector_and_scalar_paths_are_decision_identical(programs, rows,
     assert list(executed_vec) == list(executed_sca)
     for name in VARS:
         assert list(m_vec.columns[name]) == list(m_sca.columns[name]), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(program_strategy, min_size=1, max_size=6),
+       st.lists(st.tuples(row_strategy, st.booleans()), min_size=1,
+                max_size=12))
+def test_select_stops_once_every_active_row_is_chosen(programs, cases):
+    rows = [row for row, _ in cases]
+    active = np.array([flag for _, flag in cases], dtype=bool)
+    kept = active.copy()
+    evaluator = BatchPolicyEvaluator(space(), programs)
+    chosen = evaluator.select(matrix_from(rows), active=active)
+    assert (active == kept).all()         # the caller's mask is not consumed
+    assert list(chosen) == list(
+        evaluator.select_scalar(matrix_from(rows), active=active))
+    # Program k is evaluated only while some active row is unchosen
+    # after programs 0..k-1.
+    picked = chosen[active]
+    if not picked.size:
+        expected = 0
+    elif (picked < 0).any():
+        expected = len(programs)
+    else:
+        expected = int(picked.max()) + 1
+    assert evaluator.vector_evals == expected
+
+
+def test_fleet_tick_never_evaluates_the_worms_payload():
+    """``strike`` (``false``) follows the catch-all ``idle`` (``true``)
+    in the fleet's programs, so a tick evaluates five conditions."""
+    spec = ShardedFleetSpec(n_devices=64)
+    programs = fleet_programs(spec)
+    assert [p.policy_id for p in programs][-2:] == ["idle", "strike"]
+    assert STRIKE_INDEX == len(programs) - 1
+    evaluator = BatchPolicyEvaluator(fleet_space(), programs,
+                                     classifier=fleet_classifier())
+    matrix = initial_matrix(spec, fleet_space(), fleet_members(spec))
+    chosen = evaluator.select(matrix, active=matrix.columns["alive"])
+    assert (chosen >= 0).all() and (chosen != STRIKE_INDEX).all()
+    assert evaluator.vector_evals == 5
 
 
 @settings(max_examples=40, deadline=None)

@@ -148,6 +148,28 @@ def test_one_experiments_overhead_rise_is_not_pooled_away(committed):
         ("E21", "overhead.overhead_pct", "overhead")]
 
 
+@pytest.mark.parametrize("factor", [5.51, 1 / 5.51])
+def test_a_quick_run_is_neither_gain_nor_loss_against_a_full_one(committed,
+                                                                 factor):
+    """E24's query rate read +451% when a quick-mode run was compared
+    with the committed full run; across protocols that says nothing
+    about the code in either direction."""
+    (full,) = [record for record in committed
+               if record.key.experiment == "E24"]
+    metrics = dict(full.metrics)
+    metrics["ingest.query_rate_per_sec"] *= factor
+    quick = RunRecord(key=full.key, kind=full.kind, metrics=metrics,
+                      context={**full.context, "quick": True},
+                      source=full.source)
+    report = compare_runs([full], [quick])
+    assert not report.comparable
+    assert report.ok and report.improvements == []
+    (delta,) = [delta for delta in report.deltas
+                if delta.metric == "ingest.query_rate_per_sec"]
+    assert (delta.family, delta.verdict) == ("throughput", "informational")
+    assert delta.relative_pct == pytest.approx((factor - 1) * 100.0)
+
+
 def test_cli_gate_passes_committed_and_fails_the_e21_rise(tmp_path, capsys):
     shutil.copytree(RESULTS, tmp_path / "results")
     path = tmp_path / "results" / "BENCH_E21.json"

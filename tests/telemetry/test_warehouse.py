@@ -355,6 +355,16 @@ class TestSentinel:
                     if d.metric == "throughput_rps"]
         assert delta.verdict == "informational"
 
+    def test_no_improvement_is_read_across_protocols(self):
+        baseline = trials([{"throughput_rps": 1000.0,
+                            "compromised_ever": 5.0}] * 2, quick=False)
+        candidate = trials([{"throughput_rps": 2000.0,
+                             "compromised_ever": 3.0}] * 2, quick=True)
+        report = compare_runs(baseline, candidate)
+        assert report.improvements == []
+        assert {delta.verdict for delta in report.deltas} == {
+            "informational"}
+
     def test_defense_zero_to_nonzero_gates_even_across_protocols(self):
         baseline = trials([{"healthy_killed": 0.0}] * 2, quick=False)
         candidate = trials([{"healthy_killed": 2.0}] * 2, quick=True)
