@@ -30,7 +30,7 @@ import time
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig
 from repro.sim.faults import FaultPlan, NetworkPartition
-from repro.telemetry import explain
+from repro.telemetry.explain import explain
 
 from conftest import best_of_interleaved, export_section
 

@@ -41,7 +41,7 @@ import time
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig
 from repro.sim.faults import FaultPlan, LinkDegradation, NetworkPartition
-from repro.telemetry.health import CompactionController
+from repro.telemetry.health.adaptive import CompactionController
 
 from conftest import best_of_interleaved, export_section
 

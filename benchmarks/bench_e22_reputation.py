@@ -48,7 +48,8 @@ from repro.core.actions import Action, Effect
 from repro.core.device import Actuator, Device
 from repro.core.policy import Policy
 from repro.core.state import StateSpace, StateVariable
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.net.network import Network
 from repro.safeguards.lease import LEASE_GRANT_TOPIC, LeaseAuthority
 from repro.scenarios.harness import ExperimentTable

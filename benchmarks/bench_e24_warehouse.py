@@ -48,15 +48,10 @@ from repro.api.http import ServerThread
 from repro.api.service import ControlPlane, ControlPlaneConfig
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig, run_matrix
-from repro.telemetry.warehouse import (
-    RunKey,
-    RunRecord,
-    Warehouse,
-    compare_runs,
-    ingest_bundle,
-    ingest_results_dir,
-    update_trajectory,
-)
+from repro.telemetry.warehouse.ingest import ingest_bundle, ingest_results_dir
+from repro.telemetry.warehouse.records import RunKey, RunRecord
+from repro.telemetry.warehouse.sentinel import compare_runs, update_trajectory
+from repro.telemetry.warehouse.store import Warehouse
 
 from conftest import export_section
 

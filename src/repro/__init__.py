@@ -5,73 +5,7 @@ Reproduction of Calo, Verma, Bertino, Ingham, Cirincione — "How to Prevent
 Skynet From Forming (A Perspective from Policy-based Autonomic Device
 Management)", ICDCS 2018.
 
-The top-level namespace re-exports the most commonly used pieces; the
-subpackages hold the full system:
-
->>> import repro
->>> sim = repro.Simulator(seed=1)
->>> world = repro.World(sim)
->>> drone = repro.make_drone("uav1", world)
-
-See README.md for a tour and DESIGN.md for the full inventory.
+No package re-exports anything: import each name from the module that
+defines it, as the Quickstart in README.md does.  See README.md for a
+tour and DESIGN.md for the full inventory.
 """
-
-from repro.core.actions import Action, ActionLibrary, Effect, noop_action
-from repro.core.conditions import parse_condition
-from repro.core.device import Actuator, Device, Sensor
-from repro.core.engine import Decision, PolicyEngine, Safeguard
-from repro.core.events import Event
-from repro.core.policy import Policy, PolicySet
-from repro.core.state import DeviceState, StateSpace, StateVariable
-from repro.devices.base import SimDevice, bind_device
-from repro.devices.drone import make_drone
-from repro.devices.mule import make_mule
-from repro.devices.world import World, WorldHarmModel
-from repro.net.network import Network
-from repro.net.topology import Topology
-from repro.safeguards.preaction import PreActionCheck
-from repro.safeguards.statespace import StateSpaceGuard
-from repro.safeguards.tamper import seal_guard_chain
-from repro.scenarios.harness import ExperimentTable, SafeguardConfig
-from repro.sim.simulator import Simulator
-from repro.types import ActionOutcome, HarmKind, Safeness
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "Action",
-    "ActionLibrary",
-    "ActionOutcome",
-    "Actuator",
-    "Decision",
-    "Device",
-    "DeviceState",
-    "Effect",
-    "Event",
-    "ExperimentTable",
-    "HarmKind",
-    "Network",
-    "Policy",
-    "PolicyEngine",
-    "PolicySet",
-    "PreActionCheck",
-    "Safeguard",
-    "SafeguardConfig",
-    "Safeness",
-    "Sensor",
-    "SimDevice",
-    "Simulator",
-    "StateSpace",
-    "StateSpaceGuard",
-    "StateVariable",
-    "Topology",
-    "World",
-    "WorldHarmModel",
-    "__version__",
-    "bind_device",
-    "make_drone",
-    "make_mule",
-    "noop_action",
-    "parse_condition",
-    "seal_guard_chain",
-]

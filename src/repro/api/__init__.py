@@ -23,30 +23,3 @@ Modules:
 * :mod:`repro.api.http` — the stdlib asyncio HTTP/1.1 front end;
 * ``python -m repro.api`` — the CLI (see :mod:`repro.api.__main__`).
 """
-
-from repro.api.accesslog import AccessLog
-from repro.api.auth import AdmissionControl, TokenBucket
-from repro.api.http import HttpServer, ServerThread, serve
-from repro.api.jobs import Job, JobQueue
-from repro.api.profile import EvaluationProfile, default_profile
-from repro.api.runtime import ManualClock, MonotonicClock, ServiceRuntime
-from repro.api.service import ApiResponse, ControlPlane, ControlPlaneConfig
-
-__all__ = [
-    "AccessLog",
-    "AdmissionControl",
-    "TokenBucket",
-    "HttpServer",
-    "ServerThread",
-    "serve",
-    "Job",
-    "JobQueue",
-    "EvaluationProfile",
-    "default_profile",
-    "ManualClock",
-    "MonotonicClock",
-    "ServiceRuntime",
-    "ApiResponse",
-    "ControlPlane",
-    "ControlPlaneConfig",
-]

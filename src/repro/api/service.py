@@ -41,7 +41,8 @@ from repro.errors import StateError
 from repro.statespace.batch import StateMatrix, numpy_available
 from repro.telemetry.explain import explain
 from repro.telemetry.exposition import prometheus_text, write_bundle
-from repro.telemetry.health import AlertEngine, AlertRule, HealthMonitor
+from repro.telemetry.health.monitor import HealthMonitor
+from repro.telemetry.health.rules import AlertEngine, AlertRule
 
 #: Endpoints the router knows.  ``/jobs`` additionally accepts an id
 #: path segment (``/jobs/job-3``).
@@ -129,7 +130,7 @@ class ControlPlane:
                              workers=cfg.workers)
         self.warehouse = None
         if cfg.warehouse_dir is not None:
-            from repro.telemetry.warehouse import Warehouse
+            from repro.telemetry.warehouse.store import Warehouse
 
             self.warehouse = Warehouse(cfg.warehouse_dir)
         self.monitor = HealthMonitor(self.runtime,
@@ -554,7 +555,7 @@ class ControlPlane:
                               "metrics": warehouse.metrics_known(where)},
                         None)
             if op == "compare":
-                from repro.telemetry.warehouse import compare_runs
+                from repro.telemetry.warehouse.sentinel import compare_runs
 
                 baseline = warehouse.runs(dict(data.get("baseline") or {}))
                 candidate = warehouse.runs(dict(data.get("candidate") or {}))

@@ -6,33 +6,3 @@ backdoor exploitation, adversarial data poisoning, human error, and
 sensor deception.  All attacks draw randomness from named simulator
 substreams so experiments replay identically with safeguards on or off.
 """
-
-from repro.attacks.backdoor import Backdoor, BackdoorAttack
-from repro.attacks.cyber import MalevolentPayload, WormAttack, compromise_device
-from repro.attacks.deception import SensorDeceptionAttack
-from repro.attacks.forgery import (ForgedKillOrder, ReplayedKillOrder,
-                                   StolenKeyRogue)
-from repro.attacks.human_error import ErrorProneOperator, misdeployed_policy_set
-from repro.attacks.injector import Attack, AttackInjector, AttackRecord
-from repro.attacks.poisoning import PoisoningCampaign
-from repro.attacks.reputation import LeaseAbuser, SlowBurnRogue
-
-__all__ = [
-    "Attack",
-    "AttackInjector",
-    "AttackRecord",
-    "Backdoor",
-    "BackdoorAttack",
-    "ErrorProneOperator",
-    "ForgedKillOrder",
-    "LeaseAbuser",
-    "MalevolentPayload",
-    "SlowBurnRogue",
-    "PoisoningCampaign",
-    "ReplayedKillOrder",
-    "SensorDeceptionAttack",
-    "StolenKeyRogue",
-    "WormAttack",
-    "compromise_device",
-    "misdeployed_policy_set",
-]

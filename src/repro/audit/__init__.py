@@ -6,15 +6,3 @@ of comprehensive context information".  :class:`AuditLog` is a
 hash-chained append-only record; the auditors replay it to find
 break-glass abuse and safeguard-bypass anomalies.
 """
-
-from repro.audit.auditor import BreakGlassAuditor, ComplianceAuditor, Finding
-from repro.audit.log import GAP_KIND, AuditEntry, AuditLog
-
-__all__ = [
-    "AuditEntry",
-    "AuditLog",
-    "GAP_KIND",
-    "BreakGlassAuditor",
-    "ComplianceAuditor",
-    "Finding",
-]

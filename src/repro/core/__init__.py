@@ -5,53 +5,3 @@ sensors and actuators with logic dictating behaviour, characterized by a
 state vector — together with the event-condition-action policy machinery
 of sections IV and V and the generative-policy architecture of section IV.
 """
-
-from repro.core.actions import Action, ActionLibrary, Effect, noop_action
-from repro.core.conditions import (
-    AllOf,
-    AnyOf,
-    Comparison,
-    Condition,
-    EventFieldIs,
-    EventKindIs,
-    Not,
-    TrueCondition,
-    parse_condition,
-)
-from repro.core.device import Actuator, Device, Sensor
-from repro.core.engine import Decision, PolicyEngine, Safeguard
-from repro.core.events import Event
-from repro.core.obligations import Obligation, ObligationManager, ObligationOntology
-from repro.core.policy import Policy, PolicySet
-from repro.core.state import DeviceState, StateSpace, StateVariable
-
-__all__ = [
-    "Action",
-    "ActionLibrary",
-    "Actuator",
-    "AllOf",
-    "AnyOf",
-    "Comparison",
-    "Condition",
-    "Decision",
-    "Device",
-    "DeviceState",
-    "Effect",
-    "Event",
-    "EventFieldIs",
-    "EventKindIs",
-    "Not",
-    "Obligation",
-    "ObligationManager",
-    "ObligationOntology",
-    "Policy",
-    "PolicyEngine",
-    "PolicySet",
-    "Safeguard",
-    "Sensor",
-    "StateSpace",
-    "StateVariable",
-    "TrueCondition",
-    "noop_action",
-    "parse_condition",
-]

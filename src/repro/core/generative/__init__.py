@@ -8,26 +8,3 @@ indicating what kinds of policies it should generate as new devices are
 discovered ...  The former is specified by means of an interaction graph,
 the latter by means of a policy generator grammar or a policy template."
 """
-
-from repro.core.generative.generator import GenerativePolicyEngine
-from repro.core.generative.grammar import PolicyGrammar, parse_policy_spec
-from repro.core.generative.interaction_graph import (
-    DeviceTypeNode,
-    InteractionEdge,
-    InteractionGraph,
-)
-from repro.core.generative.refinement import PolicyRefinement, serialize_policy
-from repro.core.generative.templates import PolicyTemplate, TemplateRegistry
-
-__all__ = [
-    "DeviceTypeNode",
-    "GenerativePolicyEngine",
-    "InteractionEdge",
-    "InteractionGraph",
-    "PolicyGrammar",
-    "PolicyRefinement",
-    "PolicyTemplate",
-    "TemplateRegistry",
-    "parse_policy_spec",
-    "serialize_policy",
-]

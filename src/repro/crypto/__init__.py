@@ -25,27 +25,3 @@ The enforcement point in front of device actuators is
 :class:`repro.safeguards.gateway.ActuationGateway`, which adds per-issuer
 budgets, cooldowns, and a journaled global-freeze kill switch on top.
 """
-
-from repro.crypto.envelope import (
-    ENVELOPE_KEYS,
-    CommandSigner,
-    EnvelopeVerifier,
-    canonical_payload,
-    compute_mac,
-    envelope_payload,
-    payload_digest,
-    signed_body,
-)
-from repro.crypto.keyring import Keyring
-
-__all__ = [
-    "ENVELOPE_KEYS",
-    "CommandSigner",
-    "EnvelopeVerifier",
-    "Keyring",
-    "canonical_payload",
-    "compute_mac",
-    "envelope_payload",
-    "payload_digest",
-    "signed_body",
-]

@@ -5,38 +5,3 @@ operators, coalition structure, and the simulated physical world in which
 humans can actually be harmed — the substrate every experiment's harm
 accounting rests on.
 """
-
-from repro.devices.base import SimDevice, bind_device
-from repro.devices.coalition import Coalition, Organization
-from repro.devices.drone import make_drone
-from repro.devices.human import HumanOperator
-from repro.devices.mechanic import MechanicDevice
-from repro.devices.mule import make_mule
-from repro.devices.tower import ThreatAssessmentService, make_tower
-from repro.devices.world import (
-    Convoy,
-    HarmEvent,
-    Hazard,
-    Human,
-    World,
-    WorldHarmModel,
-)
-
-__all__ = [
-    "Coalition",
-    "Convoy",
-    "HarmEvent",
-    "Hazard",
-    "Human",
-    "HumanOperator",
-    "MechanicDevice",
-    "Organization",
-    "SimDevice",
-    "ThreatAssessmentService",
-    "World",
-    "WorldHarmModel",
-    "bind_device",
-    "make_drone",
-    "make_mule",
-    "make_tower",
-]

@@ -6,15 +6,3 @@ analysis and simulation methods have been used to determine whether
 systems of systems would exhibit emergent behavior... e.g., rolling
 blackouts in a power grid."
 """
-
-from repro.emergent.aggregate import AggregateMonitor, AggregateViolation
-from repro.emergent.analysis import SystemOfSystemsAnalyzer
-from repro.emergent.detector import EmergentBehaviorDetector, EmergentPattern
-
-__all__ = [
-    "AggregateMonitor",
-    "AggregateViolation",
-    "EmergentBehaviorDetector",
-    "EmergentPattern",
-    "SystemOfSystemsAnalyzer",
-]

@@ -11,28 +11,3 @@ perceptron, naive Bayes, bucketed emulation): the paper's risks — bad
 data, imperfect human demonstrations, poisoning — are properties of the
 *learning loop*, which these reproduce exactly.
 """
-
-from repro.learning.adversarial import (
-    PoisonReport,
-    mad_outlier_filter,
-    sanitize_samples,
-)
-from repro.learning.anomaly import AnomalyReport, StateAnomalyDetector
-from repro.learning.emulation import Demonstration, HumanEmulationLearner
-from repro.learning.online import ExponentialSmoother, OnlinePerceptron, RunningStats
-from repro.learning.predictive import AttributeRelationshipModel, NaiveBayesTypeClassifier
-
-__all__ = [
-    "AnomalyReport",
-    "AttributeRelationshipModel",
-    "Demonstration",
-    "ExponentialSmoother",
-    "HumanEmulationLearner",
-    "NaiveBayesTypeClassifier",
-    "OnlinePerceptron",
-    "PoisonReport",
-    "RunningStats",
-    "StateAnomalyDetector",
-    "mad_outlier_filter",
-    "sanitize_samples",
-]

@@ -5,25 +5,3 @@ discovery (the entry point of the paper's generative-policy flow, sec IV),
 and gossip-based knowledge sharing ("share the information and policies
 they generate with other devices").
 """
-
-from repro.net.discovery import DiscoveryService
-from repro.net.gossip import GossipNode, KnowledgeItem
-from repro.net.message import Message
-from repro.net.network import Network
-from repro.net.reliable import PendingSend, ReliableChannel
-from repro.net.shardnet import ShardRouter, WireMessage, wire_sort_key
-from repro.net.topology import Topology
-
-__all__ = [
-    "DiscoveryService",
-    "GossipNode",
-    "KnowledgeItem",
-    "Message",
-    "Network",
-    "PendingSend",
-    "ReliableChannel",
-    "ShardRouter",
-    "Topology",
-    "WireMessage",
-    "wire_sort_key",
-]

@@ -5,30 +5,3 @@ scenario; ``confrontation`` the two-opposing-coalitions scenario with
 threat injection; ``harness`` the configuration/metrics plumbing every
 benchmark shares.
 """
-
-from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
-from repro.scenarios.harness import (
-    ExperimentTable,
-    SafeguardConfig,
-    mean_and_std,
-    run_replications,
-)
-from repro.scenarios.peacekeeping import PeacekeepingScenario
-from repro.scenarios.reputation import ReputationFleetSpec, ReputationScenario
-from repro.scenarios.sharded import ShardedFleetSpec, ShardedScenario
-from repro.scenarios.report import AfterActionReport
-
-__all__ = [
-    "AfterActionReport",
-    "ConfrontationScenario",
-    "ExperimentTable",
-    "PeacekeepingScenario",
-    "ReputationFleetSpec",
-    "ReputationScenario",
-    "SafeguardConfig",
-    "ShardedFleetSpec",
-    "ShardedScenario",
-    "ThreatConfig",
-    "mean_and_std",
-    "run_replications",
-]

@@ -36,9 +36,10 @@ from repro.attacks.forgery import (ForgedKillOrder, ReplayedKillOrder,
 from repro.attacks.human_error import ErrorProneOperator
 from repro.attacks.injector import AttackInjector
 from repro.audit.log import AuditLog
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
 from repro.core.actions import Action, Effect
 from repro.core.policy import Policy
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.devices.base import bind_device
 from repro.devices.coalition import Coalition, Organization
 from repro.devices.drone import make_drone
@@ -57,15 +58,19 @@ from repro.scenarios.harness import SafeguardConfig
 from repro.scenarios.peacekeeping import device_safety_classifier
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.simulator import Simulator
-from repro.store import DurabilityManager, Journal, StableStorage
+from repro.store.journal import Journal
+from repro.store.recovery import DurabilityManager
+from repro.store.stable import StableStorage
 from repro.telemetry.exposition import write_bundle
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.health import (AdaptiveQuarantine, AlertEngine,
-                                    AlertRule, CompactionController,
-                                    HealthMonitor, KnobArbiter, RateTracker,
-                                    approach_strikes_knob,
-                                    approach_threshold_knob, quarantine_knob)
-from repro.trust import ReputationAdjuster, ReputationLedger
+from repro.telemetry.health.adaptive import AdaptiveQuarantine, CompactionController
+from repro.telemetry.health.estimators import RateTracker
+from repro.telemetry.health.knobs import (
+    KnobArbiter, approach_strikes_knob, approach_threshold_knob, quarantine_knob,
+)
+from repro.telemetry.health.monitor import HealthMonitor
+from repro.telemetry.health.rules import AlertEngine, AlertRule
+from repro.trust.reputation import ReputationAdjuster, ReputationLedger
 from repro.types import DeviceStatus
 
 #: Valid durability modes (``None`` keeps the historical in-memory world).

@@ -179,7 +179,7 @@ def run_matrix(
                        and not isinstance(value, bool) for value in values):
                     aggregated[label][key] = mean_and_std(values)
     if warehouse is not None:
-        from repro.telemetry.warehouse import ingest_run_dict
+        from repro.telemetry.warehouse.ingest import ingest_run_dict
 
         for index, (label, _config) in enumerate(arms):
             for offset, seed in enumerate(seeds):

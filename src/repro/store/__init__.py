@@ -8,18 +8,3 @@ preserve), :class:`Journal` (CRC-framed write-ahead records with
 snapshots and torn-tail-truncating replay), and :class:`DurabilityManager`
 (the crash-wipe / restart-recovery orchestration the fault layer drives).
 """
-
-from repro.store.filestorage import FileStorage
-from repro.store.journal import Journal, JournalRecord, ReplayReport, SNAPSHOT_SUFFIX
-from repro.store.recovery import DurabilityManager
-from repro.store.stable import StableStorage
-
-__all__ = [
-    "DurabilityManager",
-    "FileStorage",
-    "Journal",
-    "JournalRecord",
-    "ReplayReport",
-    "SNAPSHOT_SUFFIX",
-    "StableStorage",
-]

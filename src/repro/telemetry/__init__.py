@@ -23,22 +23,3 @@ intervention.  This package provides that layer:
   embedded append-only warehouse of ingested bundles/bench documents
   with a query API and the regression sentinel CI gates on.
 """
-
-from repro.telemetry.explain import Explanation, explain
-from repro.telemetry.exposition import (BUNDLE_SCHEMA, prometheus_text,
-                                        write_bundle, write_jsonl)
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.spans import Span, SpanContext, Tracer
-
-__all__ = [
-    "BUNDLE_SCHEMA",
-    "Explanation",
-    "explain",
-    "prometheus_text",
-    "write_bundle",
-    "write_jsonl",
-    "FlightRecorder",
-    "Span",
-    "SpanContext",
-    "Tracer",
-]

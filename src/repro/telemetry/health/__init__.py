@@ -23,30 +23,3 @@ watcher:
   priority-arbitrated, span-attributed composition when several closed
   loops tune the same safeguard knob.
 """
-
-from repro.telemetry.health.adaptive import (AdaptiveQuarantine,
-                                             CompactionController)
-from repro.telemetry.health.estimators import Ewma, RateTracker
-from repro.telemetry.health.knobs import (
-    KnobArbiter,
-    approach_strikes_knob,
-    approach_threshold_knob,
-    quarantine_knob,
-)
-from repro.telemetry.health.monitor import HealthMonitor
-from repro.telemetry.health.rules import Alert, AlertEngine, AlertRule
-
-__all__ = [
-    "AdaptiveQuarantine",
-    "CompactionController",
-    "KnobArbiter",
-    "approach_strikes_knob",
-    "approach_threshold_knob",
-    "quarantine_knob",
-    "Ewma",
-    "RateTracker",
-    "HealthMonitor",
-    "Alert",
-    "AlertEngine",
-    "AlertRule",
-]

@@ -18,31 +18,3 @@ The Kott after-action principle (PAPERS.md) made operational: an
 autonomous fleet must record its engagements so auditors can compare
 behavior *over time*, not just within one incident.
 """
-
-from repro.telemetry.warehouse.ingest import (ingest_bench, ingest_bundle,
-                                              ingest_results_dir,
-                                              ingest_run_dict)
-from repro.telemetry.warehouse.query import match_where
-from repro.telemetry.warehouse.records import (SCHEMA_VERSION, RunKey,
-                                               RunRecord, flatten_numeric)
-from repro.telemetry.warehouse.sentinel import (DeltaReport, MetricDelta,
-                                                compare_runs,
-                                                update_trajectory)
-from repro.telemetry.warehouse.store import Warehouse
-
-__all__ = [
-    "DeltaReport",
-    "MetricDelta",
-    "RunKey",
-    "RunRecord",
-    "SCHEMA_VERSION",
-    "Warehouse",
-    "compare_runs",
-    "flatten_numeric",
-    "ingest_bench",
-    "ingest_bundle",
-    "ingest_results_dir",
-    "ingest_run_dict",
-    "match_where",
-    "update_trajectory",
-]

@@ -7,32 +7,3 @@ aggregation under collusion [13].  This package provides robust sensor
 aggregation (iterative filtering, trimmed estimators) and a provenance /
 trust-score ledger for data sources.
 """
-
-from repro.trust.aggregation import (
-    IterativeFilteringAggregator,
-    SensorReading,
-    mean_aggregate,
-    median_aggregate,
-    trimmed_mean_aggregate,
-)
-from repro.trust.provenance import ProvenanceRecord, TrustLedger
-from repro.trust.reputation import (
-    BANDS,
-    OUTCOME_WEIGHTS,
-    ReputationAdjuster,
-    ReputationLedger,
-)
-
-__all__ = [
-    "BANDS",
-    "IterativeFilteringAggregator",
-    "OUTCOME_WEIGHTS",
-    "ProvenanceRecord",
-    "ReputationAdjuster",
-    "ReputationLedger",
-    "SensorReading",
-    "TrustLedger",
-    "mean_aggregate",
-    "median_aggregate",
-    "trimmed_mean_aggregate",
-]

@@ -409,7 +409,8 @@ class TestQueryEndpoint:
     """The E24 warehouse behind /query: metered, traced, explainable."""
 
     def _seeded_warehouse_dir(self, tmp_path) -> str:
-        from repro.telemetry.warehouse import Warehouse, ingest_run_dict
+        from repro.telemetry.warehouse.ingest import ingest_run_dict
+        from repro.telemetry.warehouse.store import Warehouse
 
         directory = str(tmp_path / "wh")
         warehouse = Warehouse(directory)

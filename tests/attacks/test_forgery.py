@@ -3,7 +3,8 @@
 from repro.attacks.forgery import (ForgedKillOrder, ReplayedKillOrder,
                                    StolenKeyRogue)
 from repro.attacks.injector import AttackInjector
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.net.network import Network
 from repro.safeguards.deactivation import OverseerLink, Watchdog
 from repro.safeguards.gateway import ActuationGateway

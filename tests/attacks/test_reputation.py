@@ -8,11 +8,12 @@ from repro.attacks.injector import AttackInjector
 from repro.attacks.reputation import LeaseAbuser, SlowBurnRogue
 from repro.core.actions import Action, Effect
 from repro.core.policy import Policy
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.net.network import Network
 from repro.safeguards.lease import LEASE_GRANT_TOPIC, LeaseAuthority
 from repro.sim.simulator import Simulator
-from repro.trust import ReputationLedger
+from repro.trust.reputation import ReputationLedger
 from repro.types import DeviceStatus
 
 from tests.conftest import make_test_device

@@ -17,7 +17,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro.audit.log import AuditEntry, AuditLog
 from repro.errors import AuditError
-from repro.store import Journal, SNAPSHOT_SUFFIX, StableStorage
+from repro.store.journal import Journal, SNAPSHOT_SUFFIX
+from repro.store.stable import StableStorage
 from repro.store.journal import _HEADER, _frame
 
 

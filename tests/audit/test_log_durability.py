@@ -8,7 +8,8 @@ import pytest
 
 from repro.audit.log import GAP_KIND, AuditEntry, AuditLog
 from repro.errors import AuditError
-from repro.store import Journal, StableStorage
+from repro.store.journal import Journal
+from repro.store.stable import StableStorage
 
 HEADER = struct.Struct(">II")
 

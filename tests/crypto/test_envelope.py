@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import (CommandSigner, EnvelopeVerifier, Keyring,
-                          canonical_payload, compute_mac, envelope_payload,
-                          payload_digest, signed_body)
+from repro.crypto.envelope import (
+    CommandSigner, EnvelopeVerifier, canonical_payload, compute_mac, envelope_payload,
+    payload_digest, signed_body,
+)
+from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
 
 

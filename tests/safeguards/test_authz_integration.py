@@ -1,7 +1,8 @@
 """E21 integration: signed kill orders end-to-end, retry ≠ replay, and
 watchdog attestation-baseline durability."""
 
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.crypto.envelope import TRANSPORT_KEYS
 from repro.net.network import Network
 from repro.net.reliable import ReliableChannel
@@ -11,7 +12,8 @@ from repro.safeguards.gateway import ActuationGateway
 from repro.safeguards.tamper import attest_fleet
 from repro.sim.simulator import Simulator
 from repro.statespace.classifier import ThresholdBand, ThresholdClassifier
-from repro.store import Journal, StableStorage
+from repro.store.journal import Journal
+from repro.store.stable import StableStorage
 from repro.types import DeviceStatus
 
 from tests.conftest import make_test_device

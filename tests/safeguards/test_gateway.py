@@ -3,11 +3,13 @@
 import pytest
 
 from repro.audit.log import AuditLog
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
 from repro.safeguards.gateway import ActuationGateway
 from repro.sim.simulator import Simulator
-from repro.store import Journal, StableStorage
+from repro.store.journal import Journal
+from repro.store.stable import StableStorage
 
 
 def build(**kwargs):

@@ -11,7 +11,9 @@ from repro.safeguards.deactivation import QUARANTINE_REASON, OverseerLink
 from repro.safeguards.governance import BallotBox, BallotMember, QUORUM_MODES
 from repro.sim.faults import DeviceCrash, FaultInjector, FaultPlan
 from repro.sim.simulator import Simulator
-from repro.store import DurabilityManager, Journal, StableStorage
+from repro.store.journal import Journal
+from repro.store.recovery import DurabilityManager
+from repro.store.stable import StableStorage
 from repro.types import DeviceStatus
 
 from tests.conftest import make_test_device

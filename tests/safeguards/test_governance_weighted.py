@@ -5,8 +5,9 @@ from the journaled snapshot — never from the live ledger."""
 from repro.net.network import Network
 from repro.safeguards.governance import BallotBox, BallotMember
 from repro.sim.simulator import Simulator
-from repro.store import Journal, StableStorage
-from repro.trust import ReputationLedger
+from repro.store.journal import Journal
+from repro.store.stable import StableStorage
+from repro.trust.reputation import ReputationLedger
 
 
 def weighted_fixture(ledger, votes, journal=None, seed=5):

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.safeguards.lease import (GRANT_FIELDS, LEASE_GRANT_TOPIC,
-                                    EmergencyLease, LeaseAuthority)
+                                    LeaseAuthority)
 from repro.sim.simulator import Simulator
-from repro.store import Journal, StableStorage
-from repro.trust import ReputationLedger
+from repro.store.journal import Journal
+from repro.store.stable import StableStorage
+from repro.trust.reputation import ReputationLedger
 
 
 def make_authority(sim=None, **kwargs):

@@ -1,6 +1,7 @@
 """E21 collection hardening: join verdicts as signed, device-bound envelopes."""
 
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.net.network import Network
 from repro.safeguards.collection import (VERDICT_TOPIC, AggregateConstraint,
                                          CollectionGuard, JoinClient,

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.actions import Action
 from repro.core.policy import Policy
-from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+from repro.crypto.keyring import Keyring
 from repro.errors import GovernanceVeto
 from repro.net.network import Network
 from repro.safeguards.governance import (VOTE_TOPIC, BallotBox, BallotMember,
@@ -12,7 +13,8 @@ from repro.safeguards.governance import (VOTE_TOPIC, BallotBox, BallotMember,
                                          GovernanceSystem, MetaPolicy,
                                          policy_digest)
 from repro.sim.simulator import Simulator
-from repro.store import Journal, StableStorage
+from repro.store.journal import Journal
+from repro.store.stable import StableStorage
 from repro.types import Branch
 
 from tests.conftest import make_test_device

@@ -50,7 +50,7 @@ def test_matrix_with_real_scenario():
 
 
 def test_matrix_auto_ingests_into_warehouse(tmp_path):
-    from repro.telemetry.warehouse import Warehouse
+    from repro.telemetry.warehouse.store import Warehouse
 
     warehouse = Warehouse(str(tmp_path / "wh"))
     arms = [("baseline", SafeguardConfig.none()),

@@ -353,7 +353,8 @@ def test_journal_corruption_without_durability_rejected():
 
 def test_journal_corruption_damages_only_the_victims_blobs():
     from repro.sim.faults import JournalCorruption
-    from repro.store import DurabilityManager, Journal
+    from repro.store.journal import Journal
+    from repro.store.recovery import DurabilityManager
 
     sim, network, devices = build_fleet()
     durability = DurabilityManager(sim)

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from repro.errors import StorageError
-from repro.store import FileStorage, Journal
+from repro.store.filestorage import FileStorage
+from repro.store.journal import Journal
 
 
 @pytest.fixture

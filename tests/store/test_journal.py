@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
-from repro.store import Journal, SNAPSHOT_SUFFIX, StableStorage
+from repro.store.journal import Journal, SNAPSHOT_SUFFIX
+from repro.store.stable import StableStorage
 from repro.store.journal import _frame
 
 HEADER = struct.Struct(">II")

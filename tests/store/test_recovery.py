@@ -2,7 +2,9 @@
 
 from repro.audit.log import AuditLog
 from repro.sim.simulator import Simulator
-from repro.store import DurabilityManager, Journal, StableStorage
+from repro.store.journal import Journal
+from repro.store.recovery import DurabilityManager
+from repro.store.stable import StableStorage
 
 
 class FakeComponent:

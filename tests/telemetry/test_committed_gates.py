@@ -21,9 +21,10 @@ import shutil
 
 import pytest
 
-from repro.telemetry.warehouse import (Warehouse, compare_runs,
-                                       flatten_numeric, ingest_bench,
-                                       ingest_results_dir)
+from repro.telemetry.warehouse.ingest import ingest_bench, ingest_results_dir
+from repro.telemetry.warehouse.records import flatten_numeric
+from repro.telemetry.warehouse.sentinel import compare_runs
+from repro.telemetry.warehouse.store import Warehouse
 from repro.telemetry.warehouse.__main__ import main as warehouse_cli
 from repro.telemetry.warehouse.records import RunRecord, canonical_json
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from repro.sim.simulator import Simulator
 from repro.store.stable import StableStorage
-from repro.telemetry import FlightRecorder, explain
+from repro.telemetry.explain import explain
+from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.spans import Tracer
 
 

@@ -8,7 +8,7 @@ from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import SafeguardConfig
 from repro.sim.faults import FaultPlan, NetworkPartition
 from repro.sim.simulator import Simulator
-from repro.telemetry import Explanation, explain
+from repro.telemetry.explain import Explanation, explain
 from repro.telemetry.spans import Tracer
 
 
@@ -195,9 +195,11 @@ class TestGatewayRejectPlusJournalAppend:
     stitch all of it into a single causal tree."""
 
     def _incident(self):
-        from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+        from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+        from repro.crypto.keyring import Keyring
         from repro.safeguards.gateway import ActuationGateway
-        from repro.store import Journal, StableStorage
+        from repro.store.journal import Journal
+        from repro.store.stable import StableStorage
 
         sim = Simulator(seed=7)
         ring = Keyring(seed=7)
@@ -253,9 +255,11 @@ class TestGatewayRejectPlusJournalAppend:
         assert path[-1] is append
 
     def test_outside_any_context_neither_side_joins_a_trace(self):
-        from repro.crypto import CommandSigner, EnvelopeVerifier, Keyring
+        from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
+        from repro.crypto.keyring import Keyring
         from repro.safeguards.gateway import ActuationGateway
-        from repro.store import Journal, StableStorage
+        from repro.store.journal import Journal
+        from repro.store.stable import StableStorage
 
         sim = Simulator(seed=7)
         ring = Keyring(seed=7)

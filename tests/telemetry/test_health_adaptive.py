@@ -6,9 +6,9 @@ from repro.audit.log import AuditLog
 from repro.sim.simulator import Simulator
 from repro.store.journal import Journal
 from repro.store.stable import StableStorage
-from repro.telemetry.health import (AdaptiveQuarantine, AlertEngine,
-                                    AlertRule, CompactionController,
-                                    HealthMonitor)
+from repro.telemetry.health.adaptive import AdaptiveQuarantine, CompactionController
+from repro.telemetry.health.monitor import HealthMonitor
+from repro.telemetry.health.rules import AlertEngine, AlertRule
 
 
 class FakeLink:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.sim.simulator import Simulator
 from repro.telemetry.exposition import write_jsonl
-from repro.telemetry.health import (AlertEngine, AlertRule, HealthMonitor)
+from repro.telemetry.health.monitor import HealthMonitor
+from repro.telemetry.health.rules import AlertEngine, AlertRule
 
 
 def make_monitor(interval=1.0):

@@ -9,9 +9,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.simulator import Simulator
-from repro.telemetry.health import (AdaptiveQuarantine, KnobArbiter,
-                                    quarantine_knob)
-from repro.trust import ReputationAdjuster, ReputationLedger
+from repro.telemetry.health.adaptive import AdaptiveQuarantine
+from repro.telemetry.health.knobs import KnobArbiter, quarantine_knob
+from repro.trust.reputation import ReputationAdjuster, ReputationLedger
 
 
 def make_arbiter():

@@ -8,21 +8,13 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry.warehouse import (
-    RunKey,
-    RunRecord,
-    SCHEMA_VERSION,
-    Warehouse,
-    compare_runs,
-    flatten_numeric,
-    ingest_bench,
-    ingest_bundle,
-    ingest_results_dir,
-    ingest_run_dict,
-    match_where,
-    update_trajectory,
+from repro.telemetry.warehouse.ingest import (
+    ingest_bench, ingest_bundle, ingest_results_dir, ingest_run_dict,
 )
-from repro.telemetry.warehouse.sentinel import load_trajectory
+from repro.telemetry.warehouse.query import match_where
+from repro.telemetry.warehouse.records import RunKey, RunRecord, SCHEMA_VERSION, flatten_numeric
+from repro.telemetry.warehouse.sentinel import compare_runs, load_trajectory, update_trajectory
+from repro.telemetry.warehouse.store import Warehouse
 
 
 def record(experiment="e", arm="full", seed=1, metrics=None, quick=False,

@@ -4,10 +4,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.simulator import Simulator
-from repro.store import Journal, StableStorage
-from repro.telemetry.health import KnobArbiter, quarantine_knob
-from repro.trust import (BANDS, OUTCOME_WEIGHTS, ReputationAdjuster,
-                         ReputationLedger)
+from repro.store.journal import Journal
+from repro.store.stable import StableStorage
+from repro.telemetry.health.knobs import KnobArbiter, quarantine_knob
+from repro.trust.reputation import BANDS, OUTCOME_WEIGHTS, ReputationAdjuster, ReputationLedger
 
 
 # -- scores ------------------------------------------------------------------------
