@@ -43,7 +43,9 @@ def experiment():
 def export_section(path: str, header: dict, section: str,
                    payload: dict, gates=None) -> None:
     """Merge ``payload`` as ``section`` into the JSON document at ``path``
-    (tests run in any order); a new document starts from ``header``.
+    (tests run in any order); a new document starts from ``header``, and
+    an existing one takes the header's keys anew, so a header field that
+    describes the run (F4's ``quick`` and ``cores``) describes this one.
 
     ``gates`` declares which of the section's metrics the regression
     sentinel judges, and how: ``{key: family}`` with ``key`` the metric's
@@ -57,7 +59,7 @@ def export_section(path: str, header: dict, section: str,
     document = dict(header)
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = {**json.load(handle), **header}
     document[section] = payload
     document["gates"] = {
         **{name: family for name, family in document.get("gates", {}).items()

@@ -12,11 +12,11 @@ builds a paper-flavoured patrol-drone profile so ``python -m repro.api``
 answers real guarded decisions out of the box.
 
 The default profile is deliberately adversary-shaped: ``engage`` sets a
-bool (so the batch compiler *must* fall back and the per-response
-fallback counters have something true to report), ``vent_heat`` is the
-guard-suggested substitute when ``advance`` would overheat, and the
-classifier's bad region is reachable from the default state in two
-``advance`` steps — `/evaluate` demonstrably vetoes.
+bool (a constant the batch compiler resolves once, so every program of
+the profile vectorizes and the per-response ``scalar_evals`` reads 0),
+``vent_heat`` is the guard-suggested substitute when ``advance`` would
+overheat, and the classifier's bad region is reachable from the default
+state in two ``advance`` steps — `/evaluate` demonstrably vetoes.
 """
 
 from __future__ import annotations

@@ -120,6 +120,12 @@ class ControlPlane:
             clock=lambda: self.runtime.now, tracer=self.runtime.telemetry)
         self.batch_evaluator = (self.profile.build_batch_evaluator()
                                 if numpy_available() else None)
+        if self.batch_evaluator is not None:
+            # Program index -> policy id in one gather; the trailing None
+            # is what a row that chose nothing (-1) picks.
+            self._batch_policy_ids = self.batch_evaluator.np.array(
+                [program.name for program in self.batch_evaluator.programs]
+                + [None], dtype=object)
         self.audit = AuditLog()
         self.admission = AdmissionControl(
             self.runtime, api_keys=cfg.api_keys, rate=cfg.rate,
@@ -403,11 +409,9 @@ class ControlPlane:
         chosen = evaluator.select(matrix)
         vetoed, executed = evaluator.apply(matrix, chosen)
         after = evaluator.stats()
-        programs = evaluator.programs
-        names = [programs[int(i)].name if i >= 0 else None for i in chosen]
         payload = {
             "rows": matrix.n_rows,
-            "chosen": names,
+            "chosen": self._batch_policy_ids[chosen].tolist(),
             "vetoed": int(vetoed.sum()),
             "executed": int(executed.sum()),
             # Compile-time fallbacks are structural (per evaluator);

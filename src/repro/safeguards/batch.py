@@ -19,8 +19,13 @@ in a handful of numpy passes:
   :meth:`~repro.core.state.DeviceState.resolve_changes`), and the sec
   VI-B veto (predicted state classifies BAD) in batch.  Prediction, veto
   and write-back run on per-program row subsets: each program gathers
-  only the rows that chose it, so the guarded work is done once per row,
-  not once per row per program.
+  only the rows that chose it, and of those only the columns its
+  effects compute from plus the ones the compiled classifier reads
+  (:attr:`BatchSafeness.reads <repro.statespace.batch.BatchSafeness>`),
+  so the guarded work is done once per row, not once per row per
+  program.  Effects compile per variable (:class:`EffectPlan`): a
+  variable whose last effect is a ``set`` predicts one constant,
+  resolved at compile time by the engine's rule, on any variable kind.
 
 **Decision identity.** The vector path reproduces the scalar path
 bit-for-bit: same IEEE-754 operations in the same order.  The evaluator
@@ -32,11 +37,13 @@ same state.
 
 **Visible fallback.** Constructs the vectorizer cannot express — the
 ``in`` operator, ``event.*`` references, event-dependent conditions,
-opaque classifiers, effects on non-float variables — fall back to the
+opaque classifiers, ``add``/``scale`` on int, bool or str variables, a
+``set`` value the variable's ``validate`` refuses — fall back to the
 scalar twin *per program*, and every fallback is counted by reason
-(:attr:`BatchPolicyEvaluator.fallback_reasons`), so a policy change that
-silently demotes the fleet to scalar dispatch shows up in metrics rather
-than only in wall clock.
+(:attr:`BatchPolicyEvaluator.fallback_reasons`) at compile time and as
+one ``scalar_evals`` per program each time it runs, so a policy change
+that silently demotes the fleet to scalar dispatch shows up in metrics
+rather than only in wall clock.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from repro.core.conditions import (
 )
 from repro.core.policy import Policy
 from repro.core.state import StateSpace
+from repro.errors import StateError
 from repro.statespace.batch import (
     BatchCompileError,
     BatchSafeness,
@@ -173,6 +181,52 @@ class BatchProgram:
         self.effects = policy.action.effects
 
 
+class EffectPlan:
+    """One program's effects, compiled per variable they write.
+
+    Effects on different variables do not interact, so each variable's
+    effects compose on their own, in declaration order, and a ``set``
+    discards what came before it.  ``consts`` are the variables whose last
+    effect is a ``set``: ``(name, value)`` with the value resolved once.
+    ``steps`` are the float variables computed per row: ``(name, start,
+    ops)``, where ``start`` is the value of the ``set`` the ``add`` /
+    ``scale`` ``ops`` compose on (``None``: the row's own value).
+    ``gather`` names the columns read from the matrix: the ones ``steps``
+    start from plus the ones the classifier reads.  ``spread`` are the
+    ``consts`` the classifier reads, so they are spread over the rows.
+    """
+
+    __slots__ = ("consts", "steps", "gather", "spread")
+
+    def __init__(self, consts: tuple, steps: tuple, gather: tuple,
+                 spread: tuple):
+        self.consts = consts
+        self.steps = steps
+        self.gather = gather
+        self.spread = spread
+
+
+def _set_constant(var, value):
+    """A ``set`` value resolved by the rule of
+    :meth:`~repro.core.state.DeviceState.resolve_changes`: a number is
+    clamped at the bounds (and truncated on an int column), and the value
+    an int, bool or str column receives is validated.  Raises
+    :class:`~repro.errors.StateError`, ``ValueError`` or
+    ``OverflowError`` for a value the column refuses."""
+    if (var.kind in ("float", "int") and isinstance(value, (int, float))
+            and not isinstance(value, bool)):
+        if var.kind == "float":
+            value = float(value)
+        if var.low is not None and value < var.low:
+            value = var.low
+        if var.high is not None and value > var.high:
+            value = var.high
+        if var.kind == "float":
+            return float(value)
+        value = int(value)
+    return var.validate(value)
+
+
 class BatchPolicyEvaluator:
     """Vectorized first-match selection + guarded effect application.
 
@@ -198,14 +252,14 @@ class BatchPolicyEvaluator:
         self.vector_evals = 0
         self.scalar_evals = 0
         self.decisions = 0
-        self._cond_fns = [self._compile_cond(p) for p in self.programs]
-        self._effect_plans = [self._compile_effects(p) for p in self.programs]
         self._safeness: Optional[BatchSafeness] = None
         if classifier is not None:
             try:
                 self._safeness = compile_safeness(classifier, space, self.np)
             except BatchCompileError as exc:
                 self._count_fallback(exc.reason)
+        self._cond_fns = [self._compile_cond(p) for p in self.programs]
+        self._effect_plans = [self._compile_effects(p) for p in self.programs]
 
     # -- compilation ---------------------------------------------------------
 
@@ -219,25 +273,66 @@ class BatchPolicyEvaluator:
             self._count_fallback(exc.reason)
             return None
 
-    def _compile_effects(self, program: BatchProgram):
-        """Effects vectorize when every target is a float variable with a
-        numeric value; int truncation and str/bool assignment stay scalar."""
+    def _compile_effects(self, program: BatchProgram) -> Optional[EffectPlan]:
+        """Compile a program's effects into an :class:`EffectPlan`.
+
+        ``add`` and ``scale`` vectorize on float variables; ``set``
+        vectorizes on every kind, its value resolved once as the engine
+        resolves it (:func:`_set_constant`).  ``add`` or ``scale`` on an
+        int, bool or str variable, or a ``set`` value that variable's
+        ``validate`` refuses, keeps the program scalar
+        (``non-float-effect``), as does a non-numeric value for a float
+        variable (``non-numeric-effect``).
+        """
         if self.np is None:
             self._count_fallback("no-numpy")
             return None
+        chains: dict = {}      # variable -> (set value or None, ops after it)
         for effect in program.effects:
             if effect.variable not in self.space:
                 self._count_fallback("unknown-variable")
                 return None
             var = self.space.variable(effect.variable)
-            if var.kind != "float":
-                self._count_fallback("non-float-effect")
-                return None
-            if not isinstance(effect.value, (int, float)) or isinstance(
-                    effect.value, bool):
-                self._count_fallback("non-numeric-effect")
-                return None
-        return tuple(program.effects)
+            if var.kind == "float":
+                reason = "non-numeric-effect"
+                if not isinstance(effect.value, (int, float)) or isinstance(
+                        effect.value, bool):
+                    self._count_fallback(reason)
+                    return None
+            else:
+                reason = "non-float-effect"
+                if effect.op != "set":
+                    self._count_fallback(reason)
+                    return None
+            if effect.op == "set":
+                try:
+                    _set_constant(var, effect.value)
+                except (StateError, ValueError, OverflowError):
+                    self._count_fallback(reason)
+                    return None
+                chains[effect.variable] = (effect.value, [])
+            else:
+                chains.setdefault(effect.variable, (None, []))[1].append(effect)
+        consts = tuple((name, _set_constant(self.space.variable(name), value))
+                       for name, (value, ops) in chains.items() if not ops)
+        # Ops compose on the unclamped set value; only the result clamps.
+        steps = tuple((name, None if value is None else float(value),
+                       tuple(ops))
+                      for name, (value, ops) in chains.items() if ops)
+        if self.classifier is None:
+            reads = frozenset()
+        elif self._safeness is not None:
+            reads = self._safeness.reads
+        else:                   # the scalar classifier sees whole rows
+            reads = frozenset(self.space.names())
+        computed = {name for name, _ in consts}
+        computed.update(name for name, start, _ in steps if start is not None)
+        needed = reads.union(name for name, start, _ in steps if start is None)
+        gather = tuple(name for name in self.space.names()
+                       if name in needed and name not in computed)
+        spread = tuple((name, value) for name, value in consts
+                       if name in reads)
+        return EffectPlan(consts, steps, gather, spread)
 
     def compiled_programs(self) -> int:
         """How many programs run fully vectorized (condition + effects)."""
@@ -281,31 +376,31 @@ class BatchPolicyEvaluator:
             pending &= ~hit
         return chosen
 
-    def _predicted_columns(self, matrix: StateMatrix, sub: dict, k: int,
-                           effects):
-        """Predicted columns for one program's effects over its row subset.
-
-        ``sub`` holds the ``k`` rows that chose the program, gathered from
-        every column of ``matrix``.  Effects compose unclamped in
-        declaration order; each touched variable is then saturated at its
-        physical bounds — the batch mirror of
+    def _predicted_columns(self, matrix: StateMatrix, plan: EffectPlan,
+                           rows) -> dict:
+        """Predicted columns for one program over the ``rows`` that chose
+        it: the columns ``plan.gather`` names, each computed variable's
+        prediction, and the constants the classifier reads.  Effects
+        compose unclamped; each computed variable is then saturated at its
+        physical bounds, the batch mirror of
         ``DeviceState.resolve_changes``.
         """
-        work: dict = {}
-        for effect in effects:
-            name = effect.variable
-            col = work.get(name, sub[name])
-            if effect.op == "set":
-                col = self.np.full(k, float(effect.value),
-                                   dtype=self.np.float64)
-            elif effect.op == "add":
-                col = col + effect.value
-            else:  # scale
-                col = col * effect.value
-            work[name] = col
-        predicted = dict(sub)
-        for name, col in work.items():
+        np = self.np
+        columns = matrix.columns
+        k = rows.size
+        predicted = {name: columns[name][rows] for name in plan.gather}
+        for name, start, ops in plan.steps:
+            # A gathered column is a copy, so it is worked in place.
+            col = (predicted[name] if start is None
+                   else np.full(k, start, dtype=np.float64))
+            for effect in ops:
+                if effect.op == "add":
+                    np.add(col, effect.value, out=col)
+                else:  # scale
+                    np.multiply(col, effect.value, out=col)
             predicted[name] = matrix.clamp(name, col)
+        for name, value in plan.spread:
+            predicted[name] = np.full(k, value, dtype=columns[name].dtype)
         return predicted
 
     def _bad_rows(self, predicted: dict, n: int):
@@ -330,9 +425,10 @@ class BatchPolicyEvaluator:
         """Apply each row's chosen program; returns ``(vetoed, executed)``.
 
         Each program runs on the rows that chose it: those rows are
-        gathered, predicted, classified and written back, and no other
-        row is touched.  A row picks one program, so no program reads a
-        row an earlier program wrote.  ``guard_exempt`` rows (e.g.
+        gathered (only the columns the program computes from or the
+        classifier reads), predicted, classified and written back, and no
+        other row is touched.  A row picks one program, so no program
+        reads a row an earlier program wrote.  ``guard_exempt`` rows (e.g.
         compromised devices that stripped their safeguards) bypass the
         veto and always execute.
         """
@@ -343,28 +439,29 @@ class BatchPolicyEvaluator:
         if guard_exempt is None:
             guard_exempt = np.zeros(n, dtype=bool)
         columns = matrix.columns
-        for index, program in enumerate(self.programs):
+        for index, plan in enumerate(self._effect_plans):
             rows = np.flatnonzero(chosen == index)
             if not rows.size:
                 continue
-            plan = self._effect_plans[index]
             if plan is None:
-                self._apply_rows_scalar(matrix, rows, program,
+                self._apply_rows_scalar(matrix, rows, self.programs[index],
                                         guard_exempt, vetoed, executed)
                 continue
-            if not program.effects:
-                executed[rows] = True
-                continue
-            sub = {name: col[rows] for name, col in columns.items()}
-            predicted = self._predicted_columns(matrix, sub, rows.size,
-                                                program.effects)
-            veto = self._bad_rows(predicted, rows.size) & ~guard_exempt[rows]
-            vetoed[rows[veto]] = True
-            keep = ~veto
-            applied = rows[keep]
-            executed[applied] = True
-            for name in {effect.variable for effect in program.effects}:
-                columns[name][applied] = predicted[name][keep]
+            if plan.consts or plan.steps:
+                predicted = self._predicted_columns(matrix, plan, rows)
+                veto = self._bad_rows(predicted, rows.size)
+                if veto.any():
+                    veto &= ~guard_exempt[rows]
+                    vetoed[rows[veto]] = True
+                    keep = ~veto
+                    rows = rows[keep]
+                    predicted = {name: predicted[name][keep]
+                                 for name, _, _ in plan.steps}
+                for name, _, _ in plan.steps:
+                    columns[name][rows] = predicted[name]
+                for name, value in plan.consts:
+                    columns[name][rows] = value
+            executed[rows] = True
         return vetoed, executed
 
     # -- scalar twin -----------------------------------------------------------
@@ -412,6 +509,8 @@ class BatchPolicyEvaluator:
 
     def _apply_rows_scalar(self, matrix: StateMatrix, rows, program,
                            guard_exempt, vetoed, executed) -> None:
+        """One program over ``rows`` on the scalar twin (one scalar eval)."""
+        self.scalar_evals += 1
         classifier = self.classifier
         for i in rows:
             i = int(i)

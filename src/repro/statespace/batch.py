@@ -14,7 +14,10 @@ a whole device block:
   that scores every row at once.  The compiled arithmetic mirrors the
   scalar implementations operation-for-operation (same IEEE-754 ops in
   the same order), so vector and scalar scores are bit-identical and the
-  BAD/NEUTRAL/GOOD decisions agree exactly.
+  BAD/NEUTRAL/GOOD decisions agree exactly.  The compiled classifier
+  names the columns it reads (:attr:`BatchSafeness.reads`), and a
+  threshold classifier's BAD mask comes from its band comparisons
+  without building the score.
 
 Not every classifier vectorizes: :class:`FunctionClassifier` wraps an
 opaque Python function, and unknown subclasses may override
@@ -28,6 +31,7 @@ to the scalar path when numpy is absent (:func:`numpy_available`).
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from operator import itemgetter
 from typing import Optional
@@ -137,7 +141,8 @@ class StateMatrix:
             yield self.row(i)
 
     def clamp(self, name: str, values):
-        """Values saturated at the variable's declared physical bounds.
+        """Saturate ``values``, a float array the caller owns, in place at
+        the variable's declared physical bounds, and return it.
 
         Mirrors :meth:`repro.core.state.DeviceState.resolve_changes`:
         ``low`` is applied before ``high``, each replacing only values
@@ -147,9 +152,9 @@ class StateMatrix:
         np = self.np
         var = self.space.variable(name)
         if var.low is not None:
-            values = np.where(values < var.low, var.low, values)
+            np.copyto(values, var.low, where=values < var.low)
         if var.high is not None:
-            values = np.where(values > var.high, var.high, values)
+            np.copyto(values, var.high, where=values > var.high)
         return values
 
 
@@ -240,17 +245,20 @@ def _refusal(space: StateSpace, name: str, value, np) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _require_numeric(space: StateSpace, name: str) -> None:
+def _require_numeric(space: StateSpace, name: str, reads: set) -> None:
+    """Admit ``name`` as a numeric column the classifier reads."""
     if name not in space:
         raise BatchCompileError("unknown-variable", name)
     if space.variable(name).kind not in _NUMERIC_KINDS:
         raise BatchCompileError("non-numeric-variable", name)
+    reads.add(name)
 
 
-def _compile_threshold(clf: ThresholdClassifier, space: StateSpace, np):
+def _compile_threshold(clf: ThresholdClassifier, space: StateSpace, np,
+                       reads: set):
     bands = list(clf.bands)
     for band in bands:
-        _require_numeric(space, band.variable)
+        _require_numeric(space, band.variable, reads)
 
     def safeness(columns: dict, n: int):
         score = None
@@ -281,10 +289,56 @@ def _compile_threshold(clf: ThresholdClassifier, space: StateSpace, np):
     return safeness
 
 
-def _compile_box(clf: BoxClassifier, space: StateSpace, np):
+def _compile_threshold_bad(clf: ThresholdClassifier, np):
+    """``bad(columns, n, t)``: the rows a threshold classifier's score puts
+    below ``0 < t <= 1``, read off its band comparisons without building
+    the score; ``None`` where only the score can say.
+
+    The score is a minimum of per-side terms, and a minimum is below
+    ``t`` iff one term is: a side past its safe bound with no (or no
+    usable) hard bound scores 0, below any ``t > 0``; one with a hard
+    bound scores ``min(1, max(0, q))``, below ``t`` iff ``q < t`` when
+    ``0 < t <= 1``.  ``q`` is computed with the score's own IEEE
+    operations.  A bound that is not finite could make ``q`` NaN, which
+    the score's ``minimum`` spreads over every band, so such a classifier
+    keeps the score.
+    """
+    bands = list(clf.bands)
+    if not all(-math.inf < bound < math.inf for band in bands
+               for bound in (band.safe_low, band.safe_high,
+                             band.hard_low, band.hard_high)
+               if bound is not None):
+        return None
+
+    def bad(columns: dict, n: int, t: float):
+        mask = np.zeros(n, dtype=bool)
+        for band in bands:
+            v = columns[band.variable]
+            if band.safe_high is not None:
+                hit = v > band.safe_high
+                if hit.any():
+                    if (band.hard_high is not None
+                            and band.hard_high > band.safe_high):
+                        hit &= ((band.hard_high - v)
+                                / (band.hard_high - band.safe_high)) < t
+                    mask |= hit
+            if band.safe_low is not None:
+                hit = v < band.safe_low
+                if hit.any():
+                    if (band.hard_low is not None
+                            and band.hard_low < band.safe_low):
+                        hit &= ((v - band.hard_low)
+                                / (band.safe_low - band.hard_low)) < t
+                    mask |= hit
+        return mask
+
+    return bad
+
+
+def _compile_box(clf: BoxClassifier, space: StateSpace, np, reads: set):
     for region in list(clf.good) + list(clf.bad):
         for variable, _low, _high in region.bounds:
-            _require_numeric(space, variable)
+            _require_numeric(space, variable, reads)
 
     def contains(region, columns, n):
         inside = np.ones(n, dtype=bool)
@@ -331,16 +385,17 @@ def _compile_box(clf: BoxClassifier, space: StateSpace, np):
     return safeness
 
 
-def _compile(clf: SafenessClassifier, space: StateSpace, np):
+def _compile(clf: SafenessClassifier, space: StateSpace, np, reads: set):
     # Exact-type dispatch on purpose: a subclass may override safeness(),
     # and compiling the parent's semantics would silently diverge.
     kind = type(clf)
     if kind is ThresholdClassifier:
-        return _compile_threshold(clf, space, np)
+        return _compile_threshold(clf, space, np, reads)
     if kind is BoxClassifier:
-        return _compile_box(clf, space, np)
+        return _compile_box(clf, space, np, reads)
     if kind is CompositeClassifier:
-        children = [_compile(child, space, np) for child in clf.children]
+        children = [_compile(child, space, np, reads)
+                    for child in clf.children]
 
         def safeness(columns: dict, n: int):
             score = None
@@ -356,14 +411,21 @@ def _compile(clf: SafenessClassifier, space: StateSpace, np):
 
 
 class BatchSafeness:
-    """A compiled classifier: scores/classifies every row at once."""
+    """A compiled classifier: scores/classifies every row at once.
 
-    __slots__ = ("classifier", "np", "_fn", "calls")
+    ``reads`` names the columns the compiled arithmetic reads; no other
+    column need be passed in.
+    """
 
-    def __init__(self, classifier: SafenessClassifier, fn, np):
+    __slots__ = ("classifier", "np", "reads", "_fn", "_bad", "calls")
+
+    def __init__(self, classifier: SafenessClassifier, fn, np,
+                 reads: frozenset, bad):
         self.classifier = classifier
         self.np = np
+        self.reads = reads
         self._fn = fn
+        self._bad = bad
         self.calls = 0
 
     def safeness(self, columns: dict, n: int):
@@ -372,8 +434,17 @@ class BatchSafeness:
         return self._fn(columns, n)
 
     def bad_mask(self, columns: dict, n: int):
-        """Rows whose predicted state classifies BAD (score < bad_below)."""
-        return self.safeness(columns, n) < self.classifier.bad_below
+        """Rows whose predicted state classifies BAD (score < bad_below).
+
+        A threshold classifier with ``0 < bad_below <= 1`` answers from
+        its band comparisons without building the score
+        (:func:`_compile_threshold_bad`); the mask is the same either way.
+        """
+        t = self.classifier.bad_below
+        if self._bad is None or not 0 < t <= 1:
+            return self.safeness(columns, n) < t
+        self.calls += 1
+        return self._bad(columns, n, t)
 
 
 def compile_safeness(classifier: SafenessClassifier, space: StateSpace,
@@ -387,5 +458,8 @@ def compile_safeness(classifier: SafenessClassifier, space: StateSpace,
     np = np_module if np_module is not None else _np
     if np is None:
         raise BatchCompileError("no-numpy")
-    return BatchSafeness(classifier, _compile(classifier, space, np), np)
-
+    reads: set = set()
+    fn = _compile(classifier, space, np, reads)
+    bad = (_compile_threshold_bad(classifier, np)
+           if type(classifier) is ThresholdClassifier else None)
+    return BatchSafeness(classifier, fn, np, frozenset(reads), bad)

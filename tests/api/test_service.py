@@ -216,9 +216,11 @@ class TestBatch:
         assert payload["rows"] == 2
         assert payload["chosen"] == ["move-when-charged",
                                      "vent-on-overheat"]
-        # The bool-effect program can't vectorize: the fallback is
-        # loudly reported, not silently demoted.
-        assert payload["fallback_reasons"].get("non-float-effect", 0) >= 1
+        # Every program compiles, the bool ``set`` of engage-when-clear
+        # included, so the rows ran on no scalar fallback.
+        assert plane.batch_evaluator.compiled_programs() == 5
+        assert payload["fallback_reasons"] == {}
+        assert payload["scalar_evals"] == 0
         assert len(payload["results"]) == 2
         plane.close()
 

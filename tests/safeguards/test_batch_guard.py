@@ -136,20 +136,44 @@ def test_evaluator_counts_condition_and_effect_fallbacks():
         policy("intfx", "true", [Effect("count", "add", 1)]),
         policy("boolval", "true", [Effect("temp", "set", True)]),
         policy("ghostfx", "true", [Effect("ghost", "set", 1.0)]),
+        policy("refused", "true", [Effect("mode", "set", "asleep")]),
+        policy("sets", "true", [Effect("count", "set", 2.7),
+                                Effect("armed", "set", True),
+                                Effect("mode", "set", "busy")]),
     ]
     evaluator = BatchPolicyEvaluator(space(), policies)
     reasons = evaluator.fallback_reasons
     assert reasons["in-operator"] == 1
-    assert reasons["non-float-effect"] == 1       # int target stays scalar
+    # add on an int target, and a set validate refuses, stay scalar
+    assert reasons["non-float-effect"] == 2
     assert reasons["non-numeric-effect"] == 1     # bool *value* stays scalar
     assert reasons["unknown-variable"] == 1
-    assert evaluator.compiled_programs() == 1     # only "ok" fully vectorizes
+    # "ok" and "sets" fully vectorize ("member"'s effects do, its
+    # condition does not)
+    assert evaluator.compiled_programs() == 2
     # The scalar fallbacks still *run* (and are counted at runtime).
     m = matrix_from([{"temp": 60.0}])
     evaluator.condition_mask(1, m)
     assert evaluator.scalar_evals == 1
     evaluator.condition_mask(0, m)
     assert evaluator.vector_evals == 1
+
+
+def test_apply_counts_one_scalar_eval_per_fallback_program():
+    evaluator = BatchPolicyEvaluator(space(), [
+        policy("ok", "temp > 50", [Effect("temp", "add", -1.0)]),
+        policy("intfx", "temp > 20", [Effect("count", "add", 1)]),
+        policy("refused", "true", [Effect("armed", "set", 1)]),
+    ])
+    m = matrix_from([{"temp": 60.0}, {"temp": 30.0}, {"temp": 25.0},
+                     {"temp": 5.0}])
+    chosen = evaluator.select(m)
+    assert list(chosen) == [0, 1, 1, 2]
+    before = evaluator.scalar_evals
+    evaluator.apply(m, chosen)
+    # two rows on "intfx" and one on "refused": one eval per program
+    assert evaluator.scalar_evals - before == 2
+    assert list(m.columns["count"]) == [0, 1, 1, 0]
 
 
 def test_classifier_compile_coverage_and_fallback():
@@ -177,6 +201,131 @@ def test_classifier_compile_coverage_and_fallback():
     with pytest.raises(BatchCompileError) as excinfo:
         compile_safeness(Custom([ThresholdBand("temp", safe_high=1.0)]), sp)
     assert excinfo.value.reason == "unsupported-classifier"
+
+
+# -- the BAD mask read off the band comparisons -------------------------------
+
+BOUND_POOL = (-5.0, 0.0, 10.0, 25.0, 80.0, 100.0, 120.0, 150.0)
+
+bound_strategy = st.one_of(
+    st.none(), st.sampled_from(BOUND_POOL),
+    st.floats(min_value=-10.0, max_value=160.0, allow_nan=False))
+
+#: Bands with and without hard bounds, hard bounds on either side of the
+#: safe ones, over float and int columns.
+band_strategy = st.builds(
+    ThresholdBand, st.sampled_from(("temp", "fuel", "load", "count")),
+    bound_strategy, bound_strategy, bound_strategy, bound_strategy)
+
+threshold_strategy = st.builds(
+    ThresholdClassifier, st.lists(band_strategy, min_size=1, max_size=3))
+
+box_strategy = st.builds(
+    lambda good, bad: BoxClassifier(
+        good=[BoxRegion.make("good", temp=good)],
+        bad=[BoxRegion.make("bad", fuel=bad)]),
+    st.sampled_from([(0.0, 80.0), (None, 100.0), (25.0, None)]),
+    st.sampled_from([(None, 10.0), (120.0, None), (0.0, 25.0)]))
+
+classifier_strategy = st.one_of(
+    threshold_strategy, threshold_strategy, box_strategy,
+    st.builds(lambda a, b: CompositeClassifier([a, b]),
+              threshold_strategy, st.one_of(threshold_strategy, box_strategy)))
+
+#: Values between the pool's bounds and past them.
+value_strategy = st.one_of(
+    st.sampled_from(BOUND_POOL),
+    st.floats(min_value=-20.0, max_value=170.0, allow_nan=False),
+    st.sampled_from((-np.inf, np.inf)))
+
+
+def ulps(value, k):
+    """``value`` and its ``k`` nearest floats on either side."""
+    out = [value]
+    below = above = value
+    for _ in range(k):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [float(below), float(above)]
+    return out
+
+
+def edge_values(classifier, bad_below) -> tuple:
+    """``(bounds, exact)``: every threshold band's bounds with their float
+    neighbours, and the values where a hard side's ``q`` is exactly
+    ``bad_below``."""
+    bands = []
+    for clf in getattr(classifier, "children", [classifier]):
+        bands.extend(getattr(clf, "bands", []))
+    bounds, exact = set(), set()
+    for band in bands:
+        for bound in (band.safe_low, band.safe_high, band.hard_low,
+                      band.hard_high):
+            if bound is not None:
+                bounds.update(ulps(bound, 1))
+        high, low = band.hard_high, band.hard_low
+        if band.safe_high is not None and high is not None:
+            width = high - band.safe_high
+            exact.update(v for v in ulps(high - bad_below * width, 8)
+                         if width and (high - v) / width == bad_below)
+        if band.safe_low is not None and low is not None:
+            width = band.safe_low - low
+            exact.update(v for v in ulps(low + bad_below * width, 8)
+                         if width and (v - low) / width == bad_below)
+    return sorted(bounds), sorted(exact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classifier_strategy, st.sampled_from((0.0, 1e-9, 0.25, 1.0, 1.5)),
+       st.data())
+def test_compiled_bad_mask_is_the_score_below_bad_below(classifier,
+                                                        bad_below, data):
+    value = st.one_of(value_strategy, *[st.sampled_from(edges) for edges
+                                        in edge_values(classifier, bad_below)
+                                        if edges])
+    rows = data.draw(st.lists(st.tuples(
+        value, value, value,
+        st.one_of(st.sampled_from((-5, 0, 10, 25, 80, 100, 120, 150)),
+                  st.integers(min_value=-20, max_value=170))),
+        min_size=1, max_size=16))
+    # Set past the constructor, which refuses a bad_below above 1.
+    classifier.bad_below = bad_below
+    compiled = compile_safeness(classifier, space())
+    n = len(rows)
+    columns = {name: np.array([row[k] for row in rows],
+                              dtype=np.int64 if name == "count" else np.float64)
+               for k, name in enumerate(("temp", "fuel", "load", "count"))}
+    with np.errstate(all="ignore"):    # infinities and near-equal bounds
+        mask = compiled.bad_mask(columns, n)
+        expected = compiled.safeness(columns, n) < bad_below
+    assert mask.dtype == bool
+    assert mask.tobytes() == expected.tobytes()
+
+
+def test_a_band_scoring_exactly_bad_below_is_not_bad():
+    """(120 - 115) / 20 and (4 - 2) / 8 are exactly 0.25: not below it."""
+    classifier = ThresholdClassifier([
+        ThresholdBand("temp", safe_high=100.0, hard_high=120.0),
+        ThresholdBand("fuel", safe_low=10.0, hard_low=2.0)])
+    compiled = compile_safeness(classifier, space())
+    columns = {"temp": np.array([115.0, 115.5, 50.0, 50.0]),
+               "fuel": np.array([50.0, 50.0, 4.0, 3.5])}
+    expected = [False, True, False, True]
+    assert list(compiled.safeness(columns, 4) < 0.25) == expected
+    assert list(compiled.bad_mask(columns, 4)) == expected
+
+
+def test_an_infinite_bound_keeps_the_score():
+    """``(inf - v) / (inf - 50)`` is NaN, and the score's ``minimum``
+    carries that NaN over the fuel band's 0: no row is BAD.  A mask
+    OR-ed from the band comparisons would call row 0 BAD."""
+    classifier = ThresholdClassifier([
+        ThresholdBand("temp", safe_high=50.0, hard_high=np.inf),
+        ThresholdBand("fuel", safe_low=10.0)])
+    compiled = compile_safeness(classifier, space())
+    columns = {"temp": np.array([60.0, 60.0]), "fuel": np.array([5.0, 50.0])}
+    with np.errstate(invalid="ignore"):
+        assert list(compiled.bad_mask(columns, 2)) == [False, False]
+    assert compiled.reads == {"temp", "fuel"}
 
 
 # -- decision identity over a randomized policy corpus -------------------------
@@ -357,7 +506,12 @@ def full_width_apply(evaluator, matrix, chosen, guard_exempt=None):
             if col is None:
                 col = matrix.columns[name].copy()
             if effect.op == "set":
-                col = np.full(n, float(effect.value), dtype=np.float64)
+                value = effect.value
+                if matrix.space.variable(name).kind != "float":
+                    # int, bool and str columns take the value the scalar
+                    # twin resolves (clamped, truncated on an int column)
+                    value = evaluator._resolve_row({}, [effect])[name]
+                col = np.full(n, value, dtype=matrix.columns[name].dtype)
             elif effect.op == "add":
                 col = col + effect.value
             else:
@@ -365,7 +519,9 @@ def full_width_apply(evaluator, matrix, chosen, guard_exempt=None):
             work[name] = col
         predicted = dict(matrix.columns)
         for name, col in work.items():
-            predicted[name] = matrix.clamp(name, col)
+            if matrix.space.variable(name).kind == "float":
+                col = matrix.clamp(name, col)
+            predicted[name] = col
         bad = evaluator._bad_rows(predicted, n)
         veto_rows = rows & bad & ~guard_exempt
         apply_rows = rows & ~veto_rows
@@ -396,10 +552,21 @@ subset_program_strategy = st.one_of(
     program_strategy,
     st.builds(lambda cond: policy("noop", cond, []),
               st.one_of(condition_strategy, st.just("true"))),
-    st.builds(lambda cond, effect: policy("nonfloat", cond, [effect]),
+    st.builds(lambda cond, effects: policy("nonfloat", cond, effects),
               st.one_of(condition_strategy, st.just("true")),
-              st.sampled_from([Effect("count", "add", 1),
-                               Effect("armed", "set", True)])),
+              st.lists(st.sampled_from([
+                  Effect("count", "add", 1),        # stays scalar
+                  Effect("count", "set", 7),
+                  Effect("count", "set", 2.7),      # truncated to 2
+                  Effect("count", "set", -3.5),     # clamped to 0
+                  Effect("count", "set", 150.9),    # clamped to 100
+                  Effect("armed", "set", True),
+                  Effect("armed", "set", False),
+                  Effect("mode", "set", "busy"),
+                  Effect("mode", "set", "asleep"),  # validate refuses
+                  Effect("armed", "set", 1),        # validate refuses
+                  Effect("temp", "add", 5.0),
+              ]), min_size=1, max_size=3)),
 )
 
 #: Drives temp toward the classifier's BAD band.  Appended as a
@@ -415,6 +582,7 @@ subset_row_strategy = st.fixed_dictionaries({
                        allow_nan=False) for name in VARS},
     "count": st.integers(min_value=0, max_value=100),
     "armed": st.booleans(),
+    "mode": st.sampled_from(["idle", "busy"]),
 })
 
 
@@ -452,8 +620,9 @@ def test_subset_apply_matches_full_width_and_scalar(programs, catch_all,
             "chosen": chosen.tobytes(),
             "vetoed": vetoed.tobytes(),
             "executed": executed.tobytes(),
-            "columns": {name: col.tobytes() for name, col in
-                        matrix.columns.items() if col.dtype != object},
+            "columns": {name: list(col) if col.dtype == object
+                        else col.tobytes()
+                        for name, col in matrix.columns.items()},
             "counters": (evaluator.vector_evals, evaluator.scalar_evals,
                          None if safeness is None else safeness.calls),
         }
