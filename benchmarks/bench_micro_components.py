@@ -189,3 +189,47 @@ def test_histogram_observe_at_scale(benchmark):
         expected = (reference[lo] if reference[lo] == reference[hi] else
                     reference[lo] * (1 - frac) + reference[hi] * frac)
         assert histogram.quantile(q) == expected
+
+
+def test_batch_fleet_tick(benchmark):
+    """One fleet tick's batch evaluation over a 50k-row shard: ``select``
+    (the narrow first-match code), the worm's override, and ``apply``
+    (prediction, the sec VI-B veto and write-back per program).  The
+    matrix carries over from round to round, as a shard's does from
+    tick to tick."""
+    from repro.safeguards.batch import BatchPolicyEvaluator
+    from repro.scenarios.sharded import (
+        STRIKE_INDEX,
+        ShardedFleetSpec,
+        fleet_classifier,
+        fleet_members,
+        fleet_programs,
+        fleet_space,
+        initial_matrix,
+        worm_seed_indices,
+    )
+    from repro.statespace.batch import StateMatrix
+
+    spec = ShardedFleetSpec(n_devices=50_000)
+    space = fleet_space()
+    evaluator = BatchPolicyEvaluator(space, fleet_programs(spec),
+                                     classifier=fleet_classifier())
+    matrix = initial_matrix(spec, space, fleet_members(spec))
+    matrix.columns["compromised"][worm_seed_indices(spec)] = True
+    rogue = matrix.columns["alive"] & matrix.columns["compromised"]
+
+    def tick():
+        chosen = evaluator.select(matrix, active=matrix.columns["alive"])
+        chosen[rogue.nonzero()[0]] = STRIKE_INDEX
+        return chosen, evaluator.apply(matrix, chosen, guard_exempt=rogue)
+
+    benchmark(tick)
+    head = StateMatrix(space, {name: col[:1000].copy()
+                               for name, col in matrix.columns.items()},
+                       1000, evaluator.np)
+    chosen, (vetoed, executed) = tick()
+    assert (chosen >= 0).all() and (chosen[rogue] == STRIKE_INDEX).all()
+    assert (executed ^ vetoed).all()
+    expected = evaluator.select_scalar(head, active=head.columns["alive"])
+    expected[rogue[:1000].nonzero()[0]] = STRIKE_INDEX
+    assert chosen[:1000].tolist() == expected.tolist()

@@ -13,9 +13,12 @@ in a handful of numpy passes:
   (:mod:`repro.core.conditions`) onto whole columns via a comparator
   table (``==  !=  <  <=  >  >=`` map to elementwise ufuncs);
 * :class:`BatchPolicyEvaluator` does first-match policy selection
-  (event patterns are not consulted: a batch has no event),
-  predicted-state computation (effects compose unclamped, final values
-  saturate at the declared bounds — exactly
+  (event patterns are not consulted: a batch has no event) into a
+  first-match code in the narrowest signed integer dtype that holds
+  ``-1 ... len(programs) - 1``, accumulated branch-free without any
+  write through a boolean mask, then predicted-state computation
+  (effects compose unclamped, final values saturate at the declared
+  bounds — exactly
   :meth:`~repro.core.state.DeviceState.resolve_changes`), and the sec
   VI-B veto (predicted state classifies BAD) in batch.  Prediction, veto
   and write-back run on per-program row subsets: each program gathers
@@ -23,9 +26,11 @@ in a handful of numpy passes:
   effects compute from plus the ones the compiled classifier reads
   (:attr:`BatchSafeness.reads <repro.statespace.batch.BatchSafeness>`),
   so the guarded work is done once per row, not once per row per
-  program.  Effects compile per variable (:class:`EffectPlan`): a
-  variable whose last effect is a ``set`` predicts one constant,
-  resolved at compile time by the engine's rule, on any variable kind.
+  program.  A row that chose a program is vetoed or executed, so
+  ``executed`` is one pass, ``(chosen >= 0) & ~vetoed``.  Effects
+  compile per variable (:class:`EffectPlan`): a variable whose last
+  effect is a ``set`` predicts one constant, resolved at compile time by
+  the engine's rule, on any variable kind.
 
 **Decision identity.** The vector path reproduces the scalar path
 bit-for-bit: same IEEE-754 operations in the same order.  The evaluator
@@ -359,22 +364,29 @@ class BatchPolicyEvaluator:
     def select(self, matrix: StateMatrix, active=None):
         """First-match program index per row (-1 = none / inactive).
 
-        Programs are tried in order only while some active row is still
-        unchosen: once a catch-all has matched, the rest are not
-        evaluated."""
+        The result is the narrowest signed integer array that holds
+        ``-1 ... len(programs) - 1``: int8 up to 127 programs, then int16,
+        then int32.  Each program adds ``index + 1`` to the rows it is the
+        first to match (``hit`` is a subset of the still-pending rows, so
+        a row gains one term at most) and ``-1`` comes off once at the
+        end; no array is written through a boolean mask.  Programs are
+        tried in order only while some active row is still unchosen:
+        once a catch-all has matched, the rest are not evaluated."""
         np = self.np
         n = matrix.n_rows
-        chosen = np.full(n, -1, dtype=np.int64)
+        width = np.min_scalar_type(-len(self.programs) - 1).type
+        code = np.zeros(n, dtype=width)
         pending = (np.ones(n, dtype=bool) if active is None
                    else np.array(active, dtype=bool))
-        self.decisions += int(pending.sum())
+        self.decisions += int(np.count_nonzero(pending))
         for index in range(len(self.programs)):
             if not pending.any():
                 break
             hit = pending & self.condition_mask(index, matrix)
-            chosen[hit] = index
-            pending &= ~hit
-        return chosen
+            code += hit.view(np.int8) * width(index + 1)
+            pending ^= hit
+        code -= 1
+        return code
 
     def _predicted_columns(self, matrix: StateMatrix, plan: EffectPlan,
                            rows) -> dict:
@@ -424,18 +436,21 @@ class BatchPolicyEvaluator:
     def apply(self, matrix: StateMatrix, chosen, guard_exempt=None):
         """Apply each row's chosen program; returns ``(vetoed, executed)``.
 
-        Each program runs on the rows that chose it: those rows are
-        gathered (only the columns the program computes from or the
-        classifier reads), predicted, classified and written back, and no
-        other row is touched.  A row picks one program, so no program
-        reads a row an earlier program wrote.  ``guard_exempt`` rows (e.g.
-        compromised devices that stripped their safeguards) bypass the
-        veto and always execute.
+        ``chosen`` is :meth:`select`'s code or any integer array of
+        program indices (``-1``: none), such as :meth:`select_scalar`'s
+        int64 one.  Each program runs on the rows that chose it: those
+        rows are gathered (only the columns the program computes from or
+        the classifier reads), predicted, classified and written back,
+        and no other row is touched.  A row picks one program, so no
+        program reads a row an earlier program wrote.  ``guard_exempt``
+        rows (e.g. compromised devices that stripped their safeguards)
+        bypass the veto and always execute.  Every row that chose a
+        program is either vetoed or executed, so ``executed`` is derived
+        in one pass as ``(chosen >= 0) & ~vetoed``.
         """
         np = self.np
         n = matrix.n_rows
         vetoed = np.zeros(n, dtype=bool)
-        executed = np.zeros(n, dtype=bool)
         if guard_exempt is None:
             guard_exempt = np.zeros(n, dtype=bool)
         columns = matrix.columns
@@ -445,7 +460,7 @@ class BatchPolicyEvaluator:
                 continue
             if plan is None:
                 self._apply_rows_scalar(matrix, rows, self.programs[index],
-                                        guard_exempt, vetoed, executed)
+                                        guard_exempt, vetoed)
                 continue
             if plan.consts or plan.steps:
                 predicted = self._predicted_columns(matrix, plan, rows)
@@ -461,8 +476,7 @@ class BatchPolicyEvaluator:
                     columns[name][rows] = predicted[name]
                 for name, value in plan.consts:
                     columns[name][rows] = value
-            executed[rows] = True
-        return vetoed, executed
+        return vetoed, (chosen >= 0) & ~vetoed
 
     # -- scalar twin -----------------------------------------------------------
 
@@ -508,15 +522,15 @@ class BatchPolicyEvaluator:
         return out
 
     def _apply_rows_scalar(self, matrix: StateMatrix, rows, program,
-                           guard_exempt, vetoed, executed) -> None:
-        """One program over ``rows`` on the scalar twin (one scalar eval)."""
+                           guard_exempt, vetoed) -> None:
+        """One program over ``rows`` on the scalar twin (one scalar eval);
+        marks the vetoed rows, and every other row executes."""
         self.scalar_evals += 1
         classifier = self.classifier
+        if not program.effects:
+            return
         for i in rows:
             i = int(i)
-            if not program.effects:
-                executed[i] = True
-                continue
             vector = matrix.row(i)
             changes = self._resolve_row(vector, program.effects)
             predicted = dict(vector)
@@ -526,7 +540,6 @@ class BatchPolicyEvaluator:
             if bad and not guard_exempt[i]:
                 vetoed[i] = True
                 continue
-            executed[i] = True
             for name, value in changes.items():
                 matrix.columns[name][i] = value
 
@@ -535,15 +548,14 @@ class BatchPolicyEvaluator:
         np = self.np
         n = matrix.n_rows
         vetoed = np.zeros(n, dtype=bool)
-        executed = np.zeros(n, dtype=bool)
         if guard_exempt is None:
             guard_exempt = np.zeros(n, dtype=bool)
         for index, program in enumerate(self.programs):
             rows = np.nonzero(chosen == index)[0]
             if rows.size:
                 self._apply_rows_scalar(matrix, rows, program, guard_exempt,
-                                        vetoed, executed)
-        return vetoed, executed
+                                        vetoed)
+        return vetoed, (chosen >= 0) & ~vetoed
 
     # -- reporting -------------------------------------------------------------
 

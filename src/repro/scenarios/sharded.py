@@ -361,7 +361,7 @@ class FleetShard(ShardHost):
                 chosen = self.evaluator.select_scalar(self.matrix,
                                                       active=alive)
             # The worm's payload replaces the control program outright.
-            chosen = np.where(rogue, STRIKE_INDEX, chosen)
+            chosen[np.flatnonzero(rogue)] = STRIKE_INDEX
             if spec.vectorized:
                 vetoed, executed = self.evaluator.apply(
                     self.matrix, chosen, guard_exempt=rogue)

@@ -31,7 +31,6 @@ to the scalar path when numpy is absent (:func:`numpy_available`).
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from operator import itemgetter
 from typing import Optional
@@ -292,23 +291,17 @@ def _compile_threshold(clf: ThresholdClassifier, space: StateSpace, np,
 def _compile_threshold_bad(clf: ThresholdClassifier, np):
     """``bad(columns, n, t)``: the rows a threshold classifier's score puts
     below ``0 < t <= 1``, read off its band comparisons without building
-    the score; ``None`` where only the score can say.
+    the score.
 
     The score is a minimum of per-side terms, and a minimum is below
     ``t`` iff one term is: a side past its safe bound with no (or no
     usable) hard bound scores 0, below any ``t > 0``; one with a hard
     bound scores ``min(1, max(0, q))``, below ``t`` iff ``q < t`` when
     ``0 < t <= 1``.  ``q`` is computed with the score's own IEEE
-    operations.  A bound that is not finite could make ``q`` NaN, which
-    the score's ``minimum`` spreads over every band, so such a classifier
-    keeps the score.
+    operations.  The bounds are finite (:class:`ThresholdBand` refuses
+    others), so ``q`` is NaN only where a band's width overflows.
     """
     bands = list(clf.bands)
-    if not all(-math.inf < bound < math.inf for band in bands
-               for bound in (band.safe_low, band.safe_high,
-                             band.hard_low, band.hard_high)
-               if bound is not None):
-        return None
 
     def bad(columns: dict, n: int, t: float):
         mask = np.zeros(n, dtype=bool)

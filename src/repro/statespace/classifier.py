@@ -169,7 +169,11 @@ class ThresholdBand:
     """A per-variable safe band with soft margins.
 
     Safeness contribution is 1 inside ``[safe_low, safe_high]``, 0 beyond
-    ``[hard_low, hard_high]``, linear in between.
+    ``[hard_low, hard_high]``, linear in between.  A NaN or infinite
+    bound is refused, as :meth:`~repro.core.state.StateVariable.validate`
+    refuses such a value: an infinite hard bound would make the linear
+    term ``inf / inf``, which the scalar score and the compiled one
+    resolve differently.
     """
 
     variable: str
@@ -177,6 +181,14 @@ class ThresholdBand:
     safe_high: Optional[float] = None
     hard_low: Optional[float] = None
     hard_high: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("safe_low", "safe_high", "hard_low", "hard_high"):
+            bound = getattr(self, name)
+            if bound is not None and bound - bound:  # NaN or an infinity
+                raise ConfigurationError(
+                    f"ThresholdBand {self.variable}: {name} {bound} is not "
+                    "finite")
 
     def score(self, vector: dict) -> float:
         value = vector.get(self.variable)

@@ -30,6 +30,7 @@ from repro.core.conditions import (
 )
 from repro.core.policy import Policy
 from repro.core.state import StateSpace, StateVariable
+from repro.errors import ConfigurationError
 from repro.safeguards.batch import (
     VECTOR_OPS,
     BatchPolicyEvaluator,
@@ -314,18 +315,27 @@ def test_a_band_scoring_exactly_bad_below_is_not_bad():
     assert list(compiled.bad_mask(columns, 4)) == expected
 
 
-def test_an_infinite_bound_keeps_the_score():
-    """``(inf - v) / (inf - 50)`` is NaN, and the score's ``minimum``
-    carries that NaN over the fuel band's 0: no row is BAD.  A mask
-    OR-ed from the band comparisons would call row 0 BAD."""
-    classifier = ThresholdClassifier([
-        ThresholdBand("temp", safe_high=50.0, hard_high=np.inf),
-        ThresholdBand("fuel", safe_low=10.0)])
-    compiled = compile_safeness(classifier, space())
-    columns = {"temp": np.array([60.0, 60.0]), "fuel": np.array([5.0, 50.0])}
-    with np.errstate(invalid="ignore"):
-        assert list(compiled.bad_mask(columns, 2)) == [False, False]
-    assert compiled.reads == {"temp", "fuel"}
+def test_an_infinite_bound_is_refused():
+    """``(inf - v) / (inf - 50)`` is NaN, which the scalar score's ``max``
+    turns into 0 and the compiled score's ``np.maximum`` keeps, so the
+    two would disagree about a BAD state; the band refuses the bound."""
+    with pytest.raises(ConfigurationError, match="hard_high inf is not finite"):
+        ThresholdBand("temp", safe_high=50.0, hard_high=np.inf)
+
+
+NON_FINITE = (np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("temp", "fuel", "load", "count")),
+       st.lists(bound_strategy, min_size=4, max_size=4),
+       st.lists(st.sampled_from(NON_FINITE), min_size=1, max_size=4),
+       st.permutations(range(4)))
+def test_a_non_finite_bound_is_always_refused(variable, bounds, bad, slots):
+    for value, slot in zip(bad, slots):
+        bounds[slot] = value
+    with pytest.raises(ConfigurationError, match="is not finite"):
+        ThresholdBand(variable, *bounds)
 
 
 # -- decision identity over a randomized policy corpus -------------------------
@@ -415,6 +425,39 @@ def test_select_stops_once_every_active_row_is_chosen(programs, cases):
     assert evaluator.vector_evals == expected
 
 
+@pytest.mark.parametrize("count, dtype", [
+    (1, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16),
+    (32768, np.int32)])
+def test_select_code_is_the_narrowest_signed_dtype(count, dtype):
+    """The code holds ``-1 ... count - 1`` and, before its final ``-1``,
+    ``count`` itself."""
+    evaluator = BatchPolicyEvaluator(space(),
+                                     [policy("never", "false", [])] * count)
+    chosen = evaluator.select(matrix_from([{}]))
+    assert chosen.dtype == dtype and list(chosen) == [-1]
+
+
+def test_select_widens_past_127_programs():
+    """Program ``k`` matches ``fuel == k / 2``: rows pick indices on both
+    sides of int8's limit, one row matches nothing and one is inactive."""
+    programs = [policy(f"p{k}", f"fuel == {k / 2}", []) for k in range(200)]
+    evaluator = BatchPolicyEvaluator(space(), programs)
+    fuels = [0.0, 63.5, 64.0, 64.5, 99.5, 0.25, 70.0]
+    active = np.array([True] * 6 + [False])
+    matrix = matrix_from([{"fuel": fuel} for fuel in fuels])
+    chosen = evaluator.select(matrix, active=active)
+    expected = [0, 127, 128, 129, 199, -1, -1]
+    assert list(chosen) == expected
+    assert list(evaluator.select_scalar(matrix, active=active)) == expected
+    assert chosen.dtype == np.int16
+    # A ControlPlane-style lookup: the trailing None is what -1 picks.
+    ids = np.array([p.policy_id for p in programs] + [None], dtype=object)
+    assert ids[chosen].tolist() == ["p0", "p127", "p128", "p129", "p199",
+                                    None, None]
+    vetoed, executed = evaluator.apply(matrix, chosen)
+    assert list(executed) == [True] * 5 + [False] * 2 and not vetoed.any()
+
+
 def test_fleet_tick_never_evaluates_the_worms_payload():
     """``strike`` (``false``) follows the catch-all ``idle`` (``true``)
     in the fleet's programs, so a tick evaluates five conditions."""
@@ -494,7 +537,8 @@ def full_width_apply(evaluator, matrix, chosen, guard_exempt=None):
             continue
         if evaluator._effect_plans[index] is None:
             evaluator._apply_rows_scalar(matrix, np.nonzero(rows)[0], program,
-                                         guard_exempt, vetoed, executed)
+                                         guard_exempt, vetoed)
+            executed = executed | (rows & ~vetoed)
             continue
         if not program.effects:
             executed = executed | rows
@@ -632,6 +676,46 @@ def test_subset_apply_matches_full_width_and_scalar(programs, catch_all,
         assert subset[key] == full[key], key
         assert subset[key] == scalar[key], key
     assert subset["counters"] == full["counters"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(subset_program_strategy, min_size=0, max_size=5),
+       st.one_of(st.none(), heat_program_strategy),
+       st.lists(st.tuples(subset_row_strategy, st.booleans(), st.booleans()),
+                min_size=1, max_size=16),
+       st.sampled_from(["none", "threshold", "function"]))
+def test_apply_derives_executed_from_the_code(programs, catch_all, cases,
+                                              kind):
+    """Every row that chose a program is vetoed or executed, and ``apply``
+    lands on the same bytes from ``select``'s narrow code as from
+    ``select_scalar``'s int64 array."""
+    if catch_all is not None:
+        programs = programs + [catch_all]
+    rows = [row for row, _, _ in cases]
+    active = np.array([flag for _, flag, _ in cases], dtype=bool)
+    exempt = np.array([flag for _, _, flag in cases], dtype=bool)
+    evaluator = BatchPolicyEvaluator(space(), programs,
+                                     classifier=make_classifier(kind))
+    narrow, wide, full = (matrix_from(rows) for _ in range(3))
+    code = evaluator.select(narrow, active=active)
+    index = evaluator.select_scalar(wide, active=active)
+    assert code.dtype == np.int8 and index.dtype == np.int64
+    assert code.tolist() == index.tolist()
+    by_code = evaluator.apply(narrow, code, exempt)
+    by_index = evaluator.apply(wide, index, exempt)
+    # The full-width reference sets ``executed`` program by program.
+    reference = full_width_apply(evaluator, full, index, exempt)
+    for vetoed, executed in (by_code, by_index, reference):
+        assert executed.tobytes() == ((index >= 0) & ~vetoed).tobytes()
+    for mask in range(2):
+        assert by_code[mask].tobytes() == by_index[mask].tobytes()
+        assert by_code[mask].tobytes() == reference[mask].tobytes()
+    for name, col in narrow.columns.items():
+        other = wide.columns[name]
+        if col.dtype == object:
+            assert list(col) == list(other), name
+        else:
+            assert col.tobytes() == other.tobytes(), name
 
 
 def test_state_matrix_from_rows_names_the_bad_cell():
