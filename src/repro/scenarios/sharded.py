@@ -37,6 +37,15 @@ Each shard is a :class:`~repro.sim.sharding.ShardHost`; per-shard
 busy/barrier-wait seconds (:class:`~repro.sim.profiling.BarrierTiming`)
 ride on the returned run as ``timing``.
 
+Set-up works in closed form, never from the edge list
+(:func:`fleet_edges` stays as the reference the tests compare with).
+:meth:`ShardedScenario.plan` orders positions by device name, takes each
+position's peers from :func:`neighbor_cells` and hands them to the one
+BFS walk, :func:`~repro.sim.sharding.partition_positions`; it formats
+each name once, for the assignment.  A shard builds its state with
+:func:`initial_matrix` and a device's name-sorted neighbor list only
+when the device first spreads (:meth:`FleetShard.neighbors_of`).
+
 numpy is required here (the whole point is the vectorized block
 evaluation; even the scalar twin stores fleet state in a
 :class:`~repro.statespace.batch.StateMatrix`).  Library code outside
@@ -56,7 +65,13 @@ from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
 from repro.net.shardnet import crc01
 from repro.safeguards.batch import BatchPolicyEvaluator
-from repro.sim.sharding import ShardHost, ShardPlan, ShardedRun, run_sharded
+from repro.sim.sharding import (
+    ShardHost,
+    ShardPlan,
+    ShardedRun,
+    partition_positions,
+    run_sharded,
+)
 from repro.statespace.batch import StateMatrix, numpy_available
 from repro.statespace.classifier import ThresholdBand, ThresholdClassifier
 from repro.core.actions import Action, Effect
@@ -141,16 +156,14 @@ def community_block(spec: ShardedFleetSpec) -> int:
     return max(2, math.ceil(spec.n_devices / spec.n_communities))
 
 
-def fleet_edges(spec: ShardedFleetSpec, names: Optional[list] = None) -> list:
+def fleet_edges(spec: ShardedFleetSpec) -> list:
     """The interaction topology: a global ring plus intra-community
     chords.  Communities are contiguous index blocks, so the ring edges
     crossing block boundaries are the (few) inter-community bridges —
-    the structure the graph partitioner exploits.  ``names`` is
-    :func:`fleet_members` when the caller already holds it."""
+    the structure the graph partitioner exploits."""
     n = spec.n_devices
     block = community_block(spec)
-    if names is None:
-        names = fleet_members(spec)
+    names = fleet_members(spec)
     edges = []
     for i in range(n):
         edges.append((names[i], names[(i + 1) % n]))
@@ -159,18 +172,29 @@ def fleet_edges(spec: ShardedFleetSpec, names: Optional[list] = None) -> list:
     return edges
 
 
+def neighbor_cells(index, n: int, block: int) -> tuple:
+    """Device ``index``'s neighbors in :func:`fleet_edges`, in closed form:
+    the cells ``index - 2, index - 1, index + 1, index + 2`` around the
+    ring, in that order.  A chord ``index ± 2`` whose two ends lie in
+    different community blocks is no edge, and its cell repeats the ring
+    neighbor on that side instead.
+
+    ``index`` is an int or an integer array: every operation is
+    elementwise, so one definition serves a device and a whole fleet."""
+    home = index // block
+    behind, ahead = (index - 1) % n, (index + 1) % n
+    behind2, ahead2 = (index - 2) % n, (index + 2) % n
+    # Adding the gap times "crosses a block" moves such a chord's cell
+    # onto the ring neighbor.
+    behind2 = behind2 + (behind - behind2) * (behind2 // block != home)
+    ahead2 = ahead2 + (ahead - ahead2) * (ahead2 // block != home)
+    return behind2, behind, ahead, ahead2
+
+
 def neighbor_indices(index: int, n: int, block: int) -> set:
-    """Device ``index``'s neighbors in :func:`fleet_edges`, in closed
-    form: the ring neighbors ``index ± 1`` always, and ``index ± 2``
-    when the chord's two ends share a community block."""
-    peers = {(index - 1) % n, (index + 1) % n}
-    ahead = (index + 2) % n
-    if ahead // block == index // block:
-        peers.add(ahead)
-    behind = (index - 2) % n
-    if behind // block == index // block:
-        peers.add(behind)
-    return peers
+    """Device ``index``'s neighbors in :func:`fleet_edges`: its
+    :func:`neighbor_cells`, as a set."""
+    return set(neighbor_cells(index, n, block))
 
 
 def fleet_space() -> StateSpace:
@@ -296,15 +320,10 @@ class FleetShard(ShardHost):
         self.matrix = initial_matrix(spec, self.space, self.devices)
         self.ever_compromised = _np.zeros(len(self.devices), dtype=bool)
 
-        # Neighbor lists of the (globally identical) topology, in name
-        # order; only a peer hosted elsewhere needs its name formatted.
-        n = spec.n_devices
-        block = community_block(spec)
-        local = {index: name for name, index in self.global_index.items()}
-        self.neighbors = {
-            name: sorted(local.get(peer) or device_name(peer)
-                         for peer in neighbor_indices(index, n, block))
-            for name, index in self.global_index.items()}
+        # Name-sorted neighbor lists of the devices that have spread,
+        # filled by :meth:`neighbors_of`: only the spread loop reads a
+        # list, and only for a live compromised device.
+        self.neighbor_lists: dict = {}
 
         # E19: the causal context of each local device's infection, used
         # as the parent of its outgoing spread sends.  Shard-invariant by
@@ -394,7 +413,7 @@ class FleetShard(ShardHost):
         for i in spreaders:
             name = self.devices[int(i)]
             ctx = self.infection_ctx.get(name)
-            for neighbor in self.neighbors[name]:
+            for neighbor in self.neighbors_of(name):
                 if crc01(spec.seed, "spread", name, neighbor,
                          tick) >= spec.spread_prob:
                     continue
@@ -405,6 +424,19 @@ class FleetShard(ShardHost):
                                         ctx.span_id)
                 self.router.send(name, neighbor, "worm.infect",
                                  {"from": name}, trace=child)
+
+    def neighbors_of(self, name: str) -> list:
+        """``name``'s neighbors in the fleet topology, as names in sorted
+        order (past 99 999 devices that is not index order), derived in
+        closed form on first use and kept."""
+        peers = self.neighbor_lists.get(name)
+        if peers is None:
+            spec = self.spec
+            indices = neighbor_indices(self.global_index[name],
+                                       spec.n_devices, community_block(spec))
+            peers = self.neighbor_lists[name] = sorted(map(device_name,
+                                                           indices))
+        return peers
 
     # -- infection ------------------------------------------------------------
 
@@ -569,10 +601,35 @@ class ShardedScenario:
         self.processes = processes
 
     def plan(self) -> ShardPlan:
-        pins = {WATCHDOG: 0, FORGER: self.n_shards - 1}
-        names = fleet_members(self.spec)
-        return ShardPlan.build(names, self.n_shards,
-                               edges=fleet_edges(self.spec, names), pins=pins)
+        """The plan :meth:`ShardPlan.build` makes of :func:`fleet_members`
+        along :func:`fleet_edges`, built without the edge list.
+
+        Positions follow sorted-name order, as in :func:`partition_graph`
+        (past 99 999 devices names are wider than five digits, and
+        ``dev-100000`` sorts between ``dev-10000`` and ``dev-10001``);
+        each position's peers come from :func:`neighbor_cells`, mapped to
+        positions and sorted."""
+        np = _np
+        spec = self.spec
+        n = spec.n_devices
+        names = fleet_members(spec)
+        # position -> device index, and back
+        order = np.array(sorted(range(n), key=names.__getitem__))
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        peers = position[np.stack(
+            neighbor_cells(order, n, community_block(spec)), axis=1)]
+        peers.sort(axis=1)
+        # The peer lists are the plan's largest object: free the array
+        # before the walk and the lists before the assignment, so the
+        # three never coexist at peak memory.
+        peers = peers.tolist()
+        claimed, owner = partition_positions(peers, self.n_shards)
+        del peers
+        order = order.tolist()
+        return ShardPlan.pinned({names[order[p]]: owner[p] for p in claimed},
+                                self.n_shards,
+                                {WATCHDOG: 0, FORGER: self.n_shards - 1})
 
     def run(self) -> ShardedRun:
         return run_sharded(build_shard, {"spec": self.spec}, self.plan(),

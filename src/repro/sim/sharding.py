@@ -11,12 +11,15 @@ executor established for *cells* to the inside of one scenario — is:
 
 What makes that hold (each point is load-bearing):
 
-* **Shard assignment is deterministic** — :func:`partition_graph` grows
-  shards by breadth-first search from evenly spaced seeds over the
-  sorted member list (communities stay together); it is a pure function
-  of ``(members, edges, n_shards)``.  :func:`partition_crc`, the
-  ``cell_seed``-style hashed assignment, is kept only as the baseline
-  the graph partitioner is measured against.
+* **Shard assignment is deterministic** — :func:`partition_positions`
+  grows shards by breadth-first search from evenly spaced seeds over
+  member positions (communities stay together); it is a pure function
+  of each position's sorted peers and ``n_shards``.
+  :func:`partition_graph` is its adapter from member names and edges,
+  positions being places in the sorted member list; a scenario that
+  knows its topology in closed form can feed the walk directly.
+  :func:`partition_crc`, the ``cell_seed``-style hashed assignment, is
+  kept only as the baseline the graph partitioner is measured against.
 * **Per-device behaviour is assignment-invariant** — every shard
   simulator is built from the *same* master seed, and
   :class:`~repro.sim.rng.SeededRNG` derives substreams by hashing
@@ -35,14 +38,16 @@ What makes that hold (each point is load-bearing):
 Each shard is a :class:`ShardHost` subclass returned by the scenario's
 module-level ``build_fn(shard_index, n_shards, members, build_args)``.
 The worker side (:func:`shard_worker`) builds one in a forked process,
-keeps it live across windows and speaks a tiny pipe protocol: ``run`` a
-window, return the outbox; ``finalize``, return a :class:`ShardResult`.
+freezes the built heap out of the collector's reach, keeps the shard
+live across windows and speaks a tiny pipe protocol: ``run`` a window,
+return the outbox; ``finalize``, return a :class:`ShardResult`.
 The in-process mode runs the identical code path shard-by-shard and is
 the reference "serial" execution.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -83,44 +88,28 @@ def partition_crc(members, n_shards: int, salt=0) -> dict:
     return assignment
 
 
-def partition_graph(members, edges, n_shards: int) -> dict:
-    """Deterministic BFS-growth partition along the interaction graph.
+def partition_positions(peers, n_shards: int) -> tuple:
+    """Deterministic BFS-growth partition of positions ``0 .. n - 1``.
 
-    Seeds are evenly spaced over the sorted member list; shards claim one
-    member per round from their BFS frontier (falling back to the next
-    unassigned member in sorted order), capped at ``ceil(n / n_shards)``.
-    Pure function of ``(members, edges, n_shards)`` — no RNG, no dict
-    iteration order beyond sorted sequences — so every process computes
-    the same assignment.  The walk runs on positions in the sorted
-    member list: a member name is looked up once per edge end, and
-    everything after that moves ints.
+    ``peers[p]`` lists position ``p``'s neighbors in ascending order; a
+    repeated peer needs no dedupe, because it sits next to its twin and
+    whichever copy is popped second is already owned.  Seeds are evenly
+    spaced over the positions; shards claim one position per round from
+    their BFS frontier (falling back to the lowest unassigned position),
+    capped at ``ceil(n / n_shards)``.  Returns ``(claimed, owner)``: the
+    positions in the order they were claimed, and each position's shard.
+    Pure function of ``(peers, n_shards)`` — no RNG — so every process
+    computes the same partition.
     """
     if n_shards < 1:
         raise ConfigurationError("n_shards must be >= 1")
-    ordered = sorted(dict.fromkeys(members))   # linear when already sorted
-    n = len(ordered)
-    if n == 0:
-        return {}
-    position = {member: index for index, member in enumerate(ordered)}
-    get = position.get
-    adjacency: list = [[] for _ in range(n)]
-    for a, b in edges:
-        i = get(a)
-        j = get(b)
-        if i is not None and j is not None:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-    # Positions sort as the members do, so each frontier grows in
-    # sorted-member order.  A repeated peer needs no dedupe: it sits next
-    # to its twin, and whichever copy is popped second is already owned.
-    for peers in adjacency:
-        peers.sort()
+    n = len(peers)
     quota = math.ceil(n / n_shards)
     owner = [-1] * n
-    claimed: list = []              # positions, in the order they were claimed
+    claimed: list = []
     frontiers = [deque([(index * n) // n_shards]) for index in range(n_shards)]
     sizes = [0] * n_shards
-    cursor = 0  # next sorted position to hand a starved shard
+    cursor = 0  # next position to hand a starved shard
     while len(claimed) < n:
         progress = False
         for shard in range(n_shards):
@@ -143,7 +132,7 @@ def partition_graph(members, edges, n_shards: int) -> dict:
             claimed.append(member)
             sizes[shard] += 1
             progress = True
-            frontier.extend(adjacency[member])
+            frontier.extend(peers[member])
         if not progress:
             break
     # Safety net: anything left (cannot happen with ceil quotas) goes to
@@ -154,6 +143,32 @@ def partition_graph(members, edges, n_shards: int) -> dict:
             owner[member] = shard
             claimed.append(member)
             sizes[shard] += 1
+    return claimed, owner
+
+
+def partition_graph(members, edges, n_shards: int) -> dict:
+    """Deterministic BFS-growth partition along the interaction graph.
+
+    The adapter from names to :func:`partition_positions`: a member's
+    position is its place in the sorted member list, so seeds are evenly
+    spaced over that list and each frontier grows in sorted-member
+    order.  A member name is looked up once per edge end; the walk moves
+    ints.  Pure function of ``(members, edges, n_shards)``; returns
+    member -> shard in the order members were claimed.
+    """
+    ordered = sorted(dict.fromkeys(members))   # linear when already sorted
+    position = {member: index for index, member in enumerate(ordered)}
+    get = position.get
+    adjacency: list = [[] for _ in ordered]
+    for a, b in edges:
+        i = get(a)
+        j = get(b)
+        if i is not None and j is not None:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    for peers in adjacency:
+        peers.sort()
+    claimed, owner = partition_positions(adjacency, n_shards)
     return {ordered[member]: owner[member] for member in claimed}
 
 
@@ -181,7 +196,14 @@ class ShardPlan:
         shard indices — pinned members join the plan without affecting
         the balance of the partitioned fleet.
         """
-        assignment = partition_graph(members, edges, n_shards)
+        return ShardPlan.pinned(partition_graph(members, edges, n_shards),
+                                n_shards, pins)
+
+    @staticmethod
+    def pinned(assignment: dict, n_shards: int,
+               pins: Optional[dict] = None) -> "ShardPlan":
+        """The plan of a partition already made, with ``pins`` applied
+        (added last, in their own order)."""
         for member, shard in (pins or {}).items():
             if not 0 <= shard < n_shards:
                 raise ConfigurationError(
@@ -418,6 +440,10 @@ def shard_worker(conn, build_fn: BuildFn, build_args: dict, shard_index: int,
     """Worker-process loop: build once, step windows over the pipe."""
     try:
         host = build_fn(shard_index, n_shards, members, build_args)
+        # The worker owns its process, and the built shard lives as long
+        # as it does: move it out of the collector's reach, so no
+        # collection walks it inside a window.
+        gc.freeze()
         conn.send(("ready", shard_index))
         while True:
             command, payload = conn.recv()
@@ -499,7 +525,11 @@ def run_sharded(build_fn: BuildFn, build_args: dict, plan: ShardPlan,
     merged result, byte for byte.
     """
     n_shards = plan.n_shards
-    members_by_shard = [plan.members_of(shard) for shard in range(n_shards)]
+    members_by_shard: list = [[] for _ in range(n_shards)]
+    for member, shard in plan.assignment.items():
+        members_by_shard[shard].append(member)
+    for members in members_by_shard:
+        members.sort()
     barriers = barrier_schedule(horizon, window)
     timing = BarrierTiming(n_shards)
     inbound: list = [[] for _ in range(n_shards)]

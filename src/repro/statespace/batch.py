@@ -298,8 +298,9 @@ def _compile_threshold_bad(clf: ThresholdClassifier, np):
     usable) hard bound scores 0, below any ``t > 0``; one with a hard
     bound scores ``min(1, max(0, q))``, below ``t`` iff ``q < t`` when
     ``0 < t <= 1``.  ``q`` is computed with the score's own IEEE
-    operations.  The bounds are finite (:class:`ThresholdBand` refuses
-    others), so ``q`` is NaN only where a band's width overflows.
+    operations.  The bounds and each side's width are finite
+    (:class:`ThresholdBand` refuses others), so ``q`` is NaN only where
+    the value is, and a NaN value is past no bound.
     """
     bands = list(clf.bands)
 

@@ -173,7 +173,9 @@ class ThresholdBand:
     bound is refused, as :meth:`~repro.core.state.StateVariable.validate`
     refuses such a value: an infinite hard bound would make the linear
     term ``inf / inf``, which the scalar score and the compiled one
-    resolve differently.
+    resolve differently.  For the same reason a side whose width
+    (``hard_high - safe_high`` or ``safe_low - hard_low``) overflows to
+    an infinity is refused.
     """
 
     variable: str
@@ -189,6 +191,15 @@ class ThresholdBand:
                 raise ConfigurationError(
                     f"ThresholdBand {self.variable}: {name} {bound} is not "
                     "finite")
+        for outer, inner in (("hard_high", "safe_high"),
+                             ("safe_low", "hard_low")):
+            high, low = getattr(self, outer), getattr(self, inner)
+            if high is not None and low is not None:
+                width = high - low
+                if width - width:                  # overflowed
+                    raise ConfigurationError(
+                        f"ThresholdBand {self.variable}: {outer} - {inner} "
+                        f"is {width}, not finite")
 
     def score(self, vector: dict) -> float:
         value = vector.get(self.variable)

@@ -338,6 +338,42 @@ def test_a_non_finite_bound_is_always_refused(variable, bounds, bad, slots):
         ThresholdBand(variable, *bounds)
 
 
+def test_a_band_whose_width_overflows_is_refused():
+    """At -9e307, past a safe high of -1e308, the band's term is
+    ``(1e308 + 9e307) / (1e308 + 1e308)``, ``inf / inf``: the scalar
+    score's ``max`` turns the NaN into 0 (BAD), and the compiled
+    comparison calls no NaN BAD.  The band is refused."""
+    with pytest.raises(ConfigurationError,
+                       match="hard_high - safe_high is inf, not finite"):
+        ThresholdBand("temp", safe_high=-1e308, hard_high=1e308)
+    with pytest.raises(ConfigurationError,
+                       match="safe_low - hard_low is inf, not finite"):
+        ThresholdBand("temp", safe_low=1e308, hard_low=-1e308)
+
+
+#: Finite bounds and values out to the edge of the float range, where a
+#: band's width or ``hard - value`` can overflow.
+huge = st.one_of(
+    st.floats(min_value=-1.7e308, max_value=1.7e308),
+    st.sampled_from((-1.7e308, -1e308, -9e307, 0.0, 9e307, 1e308, 1.7e308)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), huge), min_size=4, max_size=4),
+       st.lists(huge, min_size=1, max_size=8))
+def test_every_accepted_band_vetoes_as_the_scalar_score(bounds, values):
+    try:
+        band = ThresholdBand("x", *bounds)
+    except ConfigurationError:
+        return
+    classifier = ThresholdClassifier([band])
+    sp = StateSpace([StateVariable("x", "float", 0.0)])
+    with np.errstate(all="ignore"):    # hard - value may overflow
+        mask = compile_safeness(classifier, sp).bad_mask(
+            {"x": np.array(values, dtype=np.float64)}, len(values))
+    assert mask.tolist() == [classifier.is_bad({"x": v}) for v in values]
+
+
 # -- decision identity over a randomized policy corpus -------------------------
 
 VARS = ("temp", "fuel", "load")
