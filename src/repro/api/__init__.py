@@ -20,6 +20,8 @@ Modules:
 * :mod:`repro.api.accesslog` — bounded structured access-log ring;
 * :mod:`repro.api.service` — :class:`ControlPlane`, the transport-
   agnostic request path and endpoint handlers;
-* :mod:`repro.api.http` — the stdlib asyncio HTTP/1.1 front end;
+* :mod:`repro.api.http` — the stdlib asyncio HTTP/1.1 front end: one
+  :class:`asyncio.BufferedProtocol` per connection reading into one
+  reused buffer, pausing reads while its writes back up;
 * ``python -m repro.api`` — the CLI (see :mod:`repro.api.__main__`).
 """

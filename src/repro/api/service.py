@@ -58,6 +58,11 @@ _REASON_STATUS = {
 }
 
 
+#: ``json.dumps(..., sort_keys=True, default=str)`` builds a new encoder
+#: per call; one shared encoder writes the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 class ApiResponse:
     """One transport-agnostic response: status + payload + trace id."""
 
@@ -76,8 +81,7 @@ class ApiResponse:
             return bytes(self.payload)
         if isinstance(self.payload, str):
             return self.payload.encode("utf-8")
-        return (json.dumps(self.payload, sort_keys=True, default=str)
-                + "\n").encode("utf-8")
+        return (_ENCODER.encode(self.payload) + "\n").encode("utf-8")
 
 
 @dataclass

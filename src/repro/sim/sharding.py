@@ -496,8 +496,21 @@ class ShardedRun:
         return "\n".join(self.trace_lines).encode("utf-8")
 
 
-def _expect(conn, kind: str):
-    tag, payload = conn.recv()
+def _expect(conn, kind: str, shard: int, worker):
+    """The payload of the worker's next ``kind`` message.
+
+    A worker that died (its end of the pipe closed) raises
+    :class:`SimulationError` naming the shard and its exit code.  There
+    is no timeout: a worker that is alive but blocked keeps its pipe
+    open, and this waits for it for good.
+    """
+    try:
+        tag, payload = conn.recv()
+    except EOFError:
+        worker.join(5.0)
+        raise SimulationError(
+            f"shard {shard} worker exited with code {worker.exitcode} "
+            f"before sending {kind!r}") from None
     if tag == "error":
         raise SimulationError(f"shard worker failed:\n{payload}")
     if tag != kind:
@@ -522,7 +535,9 @@ def run_sharded(build_fn: BuildFn, build_args: dict, plan: ShardPlan,
     ``processes=False`` runs every shard in this process, shard-by-shard
     (the reference execution); ``processes=True`` hosts each shard in a
     forked worker and overlaps their windows.  Both produce the same
-    merged result, byte for byte.
+    merged result, byte for byte.  A worker that dies raises
+    :class:`SimulationError` naming its shard and exit code; one that
+    blocks hangs the run, since no wait here has a timeout.
     """
     n_shards = plan.n_shards
     members_by_shard: list = [[] for _ in range(n_shards)]
@@ -553,16 +568,17 @@ def run_sharded(build_fn: BuildFn, build_args: dict, plan: ShardPlan,
                 child.close()
                 pipes.append(parent)
                 workers.append(worker)
-            for parent in pipes:
-                _expect(parent, "ready")
+            for shard, parent in enumerate(pipes):
+                _expect(parent, "ready", shard, workers[shard])
             for barrier in barriers:
                 window_started = perf_counter()
                 for shard, parent in enumerate(pipes):
                     parent.send(("run", (barrier, inbound[shard])))
                 outboxes = []
                 busies = []
-                for parent in pipes:
-                    outbox, busy = _expect(parent, "window")
+                for shard, parent in enumerate(pipes):
+                    outbox, busy = _expect(parent, "window", shard,
+                                           workers[shard])
                     outboxes.append(outbox)
                     busies.append(busy)
                 timing.add_window(busies, perf_counter() - window_started)
@@ -572,8 +588,9 @@ def run_sharded(build_fn: BuildFn, build_args: dict, plan: ShardPlan,
             results = []
             for parent in pipes:
                 parent.send(("finalize", None))
-            for parent in pipes:
-                results.append(_expect(parent, "result"))
+            for shard, parent in enumerate(pipes):
+                results.append(_expect(parent, "result", shard,
+                                       workers[shard]))
             for worker in workers:
                 worker.join(timeout=30.0)
         finally:

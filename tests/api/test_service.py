@@ -533,3 +533,47 @@ class TestAccessLogStream:
             assert [json.loads(line)["n"] for line in handle] == list(
                 range(6))
         assert [record["n"] for record in log.tail()] == [4, 5]
+
+
+class TestResponseEncoding:
+    def test_body_bytes_equal_json_dumps_for_every_smoke_endpoint(self):
+        """The shared encoder writes what ``json.dumps(payload,
+        sort_keys=True, default=str)`` writes, for the payload of every
+        endpoint ``python -m repro.api --smoke`` drives."""
+        plane, _ = make_plane()
+        evaluated = post(plane, "/evaluate",
+                         {"event": {"kind": "mgmt.command.move"}})
+        responses = [
+            evaluated,
+            post(plane, "/evaluate", {"event": {"kind": "mgmt.command.move"},
+                                      "state": [["heat", 120.0]]}),
+            get(plane, "/health"),
+            post(plane, "/batch", {"rows": [{"heat": 20.0}, {"heat": 130.0}]}),
+            post(plane, "/batch", {"rows": [{"heat": 500.0}]}),
+            post(plane, "/batch", {"rows": [{"weapon_armed": "no"}]}),
+            get(plane, "/audit"),
+            post(plane, "/query", {"op": "stats"}),
+            get(plane, "/explain", query={"trace_id": evaluated.trace_id}),
+        ]
+        submitted = post(plane, "/jobs", {"kind": "noop"})
+        plane.jobs.run_pending()
+        responses += [submitted,
+                      get(plane, f"/jobs/{submitted.payload['job']['job_id']}")]
+        assert [r.status for r in responses] == [
+            200, 400, 200, 200, 400, 400, 200, 503, 200, 202, 200]
+        for response in responses:
+            expected = json.dumps(response.payload, sort_keys=True,
+                                  default=str) + "\n"
+            assert response.body_bytes() == expected.encode("utf-8")
+        metrics = get(plane, "/metrics")
+        assert metrics.body_bytes() == metrics.payload.encode("utf-8")
+        plane.close()
+
+    def test_body_bytes_sort_keys_and_stringify_unknown_types(self):
+        from repro.api.service import ApiResponse
+
+        payload = {"b": {"z": 1, "y": (2, 3)}, "a": ManualClock(), "é": None}
+        response = ApiResponse(200, payload, "application/json", None, None)
+        expected = json.dumps(payload, sort_keys=True, default=str) + "\n"
+        assert response.body_bytes() == expected.encode("utf-8")
+        assert response.body_bytes().startswith(b'{"a": "<repro.api.runtime')

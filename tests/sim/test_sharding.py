@@ -7,6 +7,8 @@ schedule, routing order, the summary/trace/audit merges, and the
 :class:`~repro.sim.profiling.BarrierTiming` satellite.
 """
 
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
@@ -23,6 +25,7 @@ from repro.sim.sharding import (
     partition_crc,
     partition_graph,
     route_batches,
+    run_sharded,
 )
 from repro.sim.simulator import Simulator
 
@@ -208,3 +211,21 @@ def test_barrier_timing_accounts_busy_vs_wait():
         timing.add_window([0.1], window_wall=0.2)
     with pytest.raises(ValueError):
         BarrierTiming(0)
+
+
+# -- a dead worker shard -------------------------------------------------------
+
+
+def _build_or_die(shard_index, n_shards, members, build_args):
+    if shard_index == 1:
+        os._exit(3)
+    return object()      # never asked to run: shard 1 fails first
+
+
+def test_a_dead_worker_is_a_simulation_error_naming_shard_and_exit_code():
+    plan = ShardPlan.pinned({"a": 0, "b": 1}, 2)
+    with pytest.raises(SimulationError,
+                       match=r"shard 1 worker exited with code 3 "
+                             r"before sending 'ready'"):
+        run_sharded(_build_or_die, {}, plan, horizon=1.0, window=0.5,
+                    processes=True)
