@@ -6,7 +6,9 @@ chain append+verify, bounded reachability, and state estimation all get
 real multi-round timings so regressions surface in CI.
 """
 
+import json
 import math
+import zlib
 
 from repro.audit.log import AuditLog
 from repro.core.actions import Action, Effect
@@ -17,6 +19,8 @@ from repro.sim.rng import SeededRNG
 from repro.statespace.classifier import BoxClassifier, BoxRegion
 from repro.statespace.estimation import NoisyChannel, StateEstimator
 from repro.statespace.reachability import ReachabilityAnalyzer
+from repro.store.journal import _HEADER, Journal
+from repro.store.stable import StableStorage
 from repro.trust.aggregation import IterativeFilteringAggregator, SensorReading
 
 
@@ -58,13 +62,23 @@ def test_iterative_filtering_round(benchmark):
 
 
 def test_audit_append(benchmark):
-    log = AuditLog()
+    # The journaled append a confrontation device makes per decision.
+    storage = StableStorage()
+    log = AuditLog(journal=Journal(storage, "dev1.audit"))
+    detail = {"requested": "patrol", "executed": "patrol", "vetoes": 0}
 
     def append():
-        log.append(1.0, "breakglass.used", "dev1", {"grant_id": 1})
+        log.append(12.0, "decision.executed", "dev1", detail)
 
     benchmark(append)
     assert log.verify()
+    # The last frame is the canonical encoding of the last entry's payload.
+    entry = log.last()
+    body = json.dumps({"seq": len(log), **entry.to_payload()},
+                      sort_keys=True, separators=(",", ":"),
+                      default=str).encode("utf-8")
+    frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
+    assert storage.read("dev1.audit").endswith(frame)
 
 
 def test_audit_verify_1000_entries(benchmark):

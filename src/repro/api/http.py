@@ -320,6 +320,7 @@ class ServerThread:
             self.address = loop.run_until_complete(self.server.start())
         except BaseException as exc:     # surface bind errors to start()
             self._failure = exc
+            loop.close()
             self._ready.set()
             return
         self._ready.set()
@@ -340,7 +341,11 @@ class ServerThread:
         return self.address
 
     def stop(self, timeout: float = 10.0) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
+        """Stop the server and join its thread.  Idempotent, and a no-op
+        before :meth:`start`: only the first call asks a live loop to stop
+        (once ``_run`` returns, the loop is closed)."""
+        loop, self._loop = self._loop, None
+        if loop is not None and not loop.is_closed():
+            loop.call_soon_threadsafe(loop.stop)
         if self._thread is not None:
             self._thread.join(timeout)

@@ -15,15 +15,25 @@ tail), re-verifies the recovered chain, and — when entries were lost
 (journal-less operation, an unflushed buffer, or a torn/corrupted tail)
 — appends an explicit ``audit.gap`` marker so the resumed chain *admits*
 the hole instead of papering over it.
+
+An entry is encoded once.  :func:`_members` renders its fields as
+canonical JSON in three runs, and both the text its hash covers and the
+body of its journal frame are joined from those runs: the frame only
+adds the ``hash`` and ``seq`` members in their sorted places.  A
+:meth:`~AuditLog.checkpoint` still encodes the entries it snapshots
+again from their payloads; keeping every entry's text for it would hold
+a second copy of the chain in memory for the few runs that checkpoint.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Optional
 
+from repro.canonical import canonical_json
 from repro.errors import AuditError
 
 _GENESIS = "0" * 64
@@ -32,9 +42,29 @@ _GENESIS = "0" * 64
 GAP_KIND = "audit.gap"
 
 
-def _canonical(payload: dict) -> str:
-    """Deterministic JSON for hashing (sorted keys, no whitespace drift)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+def _scalar(value) -> str:
+    """``canonical_json(value)``, with the common exact types rendered
+    directly (the encoder sets itself up anew for every non-string)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    return canonical_json(value)
+
+
+def _members(index, time, kind, subject, detail, prev_hash,
+             ) -> tuple[str, str, str]:
+    """An entry's canonical JSON in three runs, split where the journal
+    frame inserts its ``hash`` and ``seq`` members (keys sort as
+    ``detail,hash,index,kind,prev,seq,subject,time``); joined, they are
+    the text the entry's hash covers."""
+    return (f'{{"detail":{canonical_json(detail)}',
+            f',"index":{_scalar(index)},"kind":{_scalar(kind)}'
+            f',"prev":{_scalar(prev_hash)}',
+            f',"subject":{_scalar(subject)},"time":{_scalar(time)}}}')
 
 
 @dataclass(frozen=True)
@@ -52,10 +82,8 @@ class AuditEntry:
     @staticmethod
     def compute_hash(index: int, time: float, kind: str, subject: str,
                      detail: dict, prev_hash: str) -> str:
-        body = _canonical({
-            "index": index, "time": time, "kind": kind,
-            "subject": subject, "detail": detail, "prev": prev_hash,
-        })
+        body = "".join(_members(index, time, kind, subject, detail,
+                                prev_hash))
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
     def to_payload(self) -> dict:
@@ -118,14 +146,19 @@ class AuditLog:
         detail = dict(detail or {})
         index = len(self._entries)
         prev_hash = self._entries[-1].entry_hash if self._entries else _GENESIS
-        entry_hash = AuditEntry.compute_hash(index, time, kind, subject,
-                                             detail, prev_hash)
+        head, middle, tail = _members(index, time, kind, subject, detail,
+                                      prev_hash)
+        entry_hash = hashlib.sha256(
+            (head + middle + tail).encode("utf-8")).hexdigest()
         entry = AuditEntry(index=index, time=time, kind=kind, subject=subject,
                            detail=detail, prev_hash=prev_hash,
                            entry_hash=entry_hash)
         self._entries.append(entry)
         if self._journal is not None:
-            self._journal.append(entry.to_payload())
+            # The frame of ``entry.to_payload()``, from the same runs.
+            self._journal.append_encoded(
+                lambda seq: f'{head},"hash":"{entry_hash}"{middle}'
+                            f',"seq":{seq}{tail}')
         return entry
 
     def entries(self, kind_prefix: str = "", subject: Optional[str] = None) -> list[AuditEntry]:

@@ -23,10 +23,10 @@ from __future__ import annotations
 import hashlib
 import hmac
 import itertools
-import json
 from collections import OrderedDict
 from typing import Optional
 
+from repro.canonical import canonical_json
 from repro.crypto.keyring import Keyring
 
 #: The reserved envelope keys on a wire body.
@@ -39,10 +39,8 @@ TRANSPORT_KEYS = ("_rmid", "_rfrom")
 _EXCLUDED = frozenset(ENVELOPE_KEYS) | frozenset(TRANSPORT_KEYS)
 
 
-def canonical_payload(payload: dict) -> str:
-    """Deterministic JSON for signing (sorted keys, no whitespace drift)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
+#: Deterministic JSON for signing: the shared canonical encoding.
+canonical_payload = canonical_json
 
 
 def payload_digest(payload: dict) -> str:

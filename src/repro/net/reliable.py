@@ -18,7 +18,7 @@ plain datagram messages pass through to the wrapped handler untouched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import NetworkError
@@ -123,6 +123,11 @@ class ReliableChannel:
         self._seen: dict[str, set] = {}   # receiving address -> rmids delivered
         self._in_flight: dict[str, int] = {}        # sender -> wire count
         self._queued: dict[str, list] = {}          # sender -> FIFO backlog
+        # Metric handles for the once-per-message counters, resolved on
+        # first use: a name appears in the registry when it first counts.
+        self._m_sent = None
+        self._m_acked = None
+        self._m_rtt = None
 
     # -- registration ----------------------------------------------------------
 
@@ -179,7 +184,10 @@ class ReliableChannel:
             # span before calling send.
             ctx=self.sim.telemetry.current,
         )
-        self.sim.metrics.counter("reliable.sent").inc()
+        sent = self._m_sent
+        if sent is None:
+            sent = self._m_sent = self.sim.metrics.counter("reliable.sent")
+        sent.inc()
         cap = self.max_in_flight
         if cap is not None and self._in_flight.get(sender, 0) >= cap:
             self._enqueue(pending)
@@ -289,10 +297,12 @@ class ReliableChannel:
             return
         pending.acked = True
         pending.acked_at = self.sim.now
-        self.sim.metrics.counter("reliable.acked").inc()
-        self.sim.metrics.histogram("reliable.rtt").observe(
-            self.sim.now - pending.first_sent
-        )
+        if self._m_acked is None:
+            metrics = self.sim.metrics
+            self._m_acked = metrics.counter("reliable.acked")
+            self._m_rtt = metrics.histogram("reliable.rtt")
+        self._m_acked.inc()
+        self._m_rtt.observe(self.sim.now - pending.first_sent)
         if pending.on_ack is not None:
             pending.on_ack(pending)
         self._resolve(pending)
@@ -316,6 +326,9 @@ class ReliableChannel:
             seen.add(rmid)
             clean = {key: value for key, value in message.body.items()
                      if key not in _PROTOCOL_KEYS}
-            inner(replace(message, body=clean))
+            inner(Message(sender=message.sender, recipient=message.recipient,
+                          topic=message.topic, body=clean,
+                          sent_at=message.sent_at, msg_id=message.msg_id,
+                          trace=message.trace))
 
         return handler

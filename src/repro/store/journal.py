@@ -35,6 +35,15 @@ Durability is per-append by default (``flush_every=1``).  A larger
 discards the unflushed tail (:meth:`drop_volatile` models exactly that),
 which is how "journaled" and "lost in the crash" can differ even for a
 journal-backed component.
+
+There is one framing path, :meth:`Journal.append_encoded`: its caller
+hands over the canonical JSON text of the frame body, built around the
+sequence number the append takes.  :meth:`Journal.append` is that path
+for a payload dict.  The audit chain uses it directly, because the text
+it hashes already holds every member of its frame but ``hash`` and
+``seq`` (see :mod:`repro.audit.log`); the entry is then encoded once,
+not once for its hash and again for its frame.  A :meth:`snapshot`
+encodes its state anew: the journal keeps no frame text of its own.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.canonical import canonical_json
 from repro.errors import StorageError
 from repro.store.stable import StableStorage
 
@@ -54,15 +64,14 @@ _HEADER = struct.Struct(">II")        # (payload length, payload crc32)
 SNAPSHOT_SUFFIX = ".snap"
 
 
-def _encode(payload: dict) -> bytes:
-    """Canonical JSON bytes (sorted keys, no whitespace drift)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str).encode("utf-8")
+def _frame_text(text: str) -> bytes:
+    """The frame holding canonical JSON ``text``: header, then body."""
+    body = text.encode("utf-8")
+    return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
 def _frame(payload: dict) -> bytes:
-    body = _encode(payload)
-    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+    return _frame_text(canonical_json(payload))
 
 
 def _decode_frames(blob: bytes, limit: Optional[int] = None,
@@ -160,9 +169,19 @@ class Journal:
         is 1 (the default), otherwise when the buffer fills or
         :meth:`flush` is called.
         """
+        return self.append_encoded(
+            lambda seq: canonical_json({"seq": seq, **payload}))
+
+    def append_encoded(self, body: Callable[[int], str]) -> int:
+        """Stage the frame whose body is ``body(seq)``; returns ``seq``.
+
+        ``body`` gets the sequence number this append takes and returns
+        the canonical JSON text of ``{"seq": seq, **payload}`` — what
+        :meth:`append` would encode — so replay decodes the same record.
+        """
         seq = self._next_seq
         self._next_seq += 1
-        self._buffer.append(_frame({"seq": seq, **payload}))
+        self._buffer.append(_frame_text(body(seq)))
         if len(self._buffer) >= self.flush_every:
             self.flush()
         tracer = self.tracer

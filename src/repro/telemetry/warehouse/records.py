@@ -16,9 +16,10 @@ construction, not by caller discipline.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.canonical import canonical_json
 
 #: Warehouse record schema.  Bump on any key-meaning change; the store
 #: keeps old-schema rows readable but stamps every new row with this.
@@ -26,12 +27,6 @@ SCHEMA_VERSION = 1
 
 #: Record kinds the warehouse knows.
 KINDS = ("bundle", "bench", "matrix", "synthetic")
-
-
-def canonical_json(payload) -> str:
-    """Deterministic JSON (sorted keys, fixed separators) for hashing."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
 
 
 def flatten_numeric(obj, prefix: str = "", out: Optional[dict] = None) -> dict:

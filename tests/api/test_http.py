@@ -369,3 +369,45 @@ class TestBufferedProtocol:
             plane.close()
         assert not thread._thread.is_alive()
         assert elapsed < 2.0
+
+
+class TestServerThreadStop:
+    def test_a_second_stop_is_a_no_op(self):
+        plane = ControlPlane(config=ControlPlaneConfig(
+            workers=0, monitor_interval=0.2))
+        thread = ServerThread(plane)
+        host, port = thread.start()
+        try:
+            assert request(host, port, "GET", "/health")[0] == 200
+            thread.stop()
+            thread.stop()                  # the loop is closed by now
+        finally:
+            plane.close()
+        assert not thread._thread.is_alive()
+
+    def test_stop_before_start_is_a_no_op(self):
+        plane = ControlPlane(config=ControlPlaneConfig(
+            workers=0, monitor_interval=0.2))
+        thread = ServerThread(plane)
+        try:
+            thread.stop()
+            host, port = thread.start()    # still startable afterwards
+            assert request(host, port, "GET", "/health")[0] == 200
+        finally:
+            thread.stop()
+            plane.close()
+
+    def test_stop_after_a_failed_start_is_a_no_op(self):
+        plane = ControlPlane(config=ControlPlaneConfig(
+            workers=0, monitor_interval=0.2))
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            thread = ServerThread(plane, port=taken.getsockname()[1])
+            try:
+                with pytest.raises(RuntimeError, match="failed to start"):
+                    thread.start()
+                thread.stop()
+                thread.stop()
+            finally:
+                plane.close()

@@ -2,11 +2,13 @@
 
 import pytest
 
+import repro.net.reliable as reliable
 from repro.errors import NetworkError
 from repro.net.message import BROADCAST
 from repro.net.network import Network
 from repro.net.reliable import ACK_TOPIC, ReliableChannel
 from repro.sim.simulator import Simulator
+from repro.telemetry.spans import SpanContext
 
 
 def build(loss_rate=0.0, seed=7, **channel_kwargs):
@@ -241,3 +243,26 @@ def test_caps_are_per_sender_not_global():
 def test_max_in_flight_validation():
     with pytest.raises(NetworkError):
         build(max_in_flight=0)
+
+
+def test_inner_handler_gets_the_wire_message_without_protocol_keys():
+    sim, network, channel = build()
+    wire, inbox = [], []
+    network.tap(lambda message: wire.append(message)
+                if message.topic == "hello" else None)
+    channel.register("a", lambda message: None)
+    channel.register("b", inbox.append)
+    previous = sim.telemetry.activate(SpanContext("t0", "s0"))
+    try:
+        channel.send("a", "b", "hello", {"x": 1, "y": [2, 3]})
+    finally:
+        sim.telemetry.activate(previous)
+    sim.run(until=5.0)
+    [sent], [got] = wire, inbox
+    assert sent.body.keys() == {"x", "y", "_rmid", "_rfrom"}
+    assert got.body == {"x": 1, "y": [2, 3]}
+    assert (got.msg_id, got.sent_at, got.sender, got.recipient, got.topic) == (
+        sent.msg_id, sent.sent_at, sent.sender, sent.recipient, sent.topic)
+    assert got.trace is sent.trace == SpanContext("t0", "s0")
+    # The delivery is rebuilt directly, not through ``dataclasses.replace``.
+    assert not hasattr(reliable, "replace")

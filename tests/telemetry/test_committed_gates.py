@@ -21,12 +21,13 @@ import shutil
 
 import pytest
 
+from repro.canonical import canonical_json
 from repro.telemetry.warehouse.ingest import ingest_bench, ingest_results_dir
 from repro.telemetry.warehouse.records import flatten_numeric
 from repro.telemetry.warehouse.sentinel import compare_runs
 from repro.telemetry.warehouse.store import Warehouse
 from repro.telemetry.warehouse.__main__ import main as warehouse_cli
-from repro.telemetry.warehouse.records import RunRecord, canonical_json
+from repro.telemetry.warehouse.records import RunRecord
 
 RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                        "benchmarks", "results")
